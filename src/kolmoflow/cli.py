@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spectral import ConfigurationError, ModeParams, build_grid
+from .spectral import ConfigurationError, ModeParams, build_grid, write_csv_table
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -248,6 +248,12 @@ def write_report(path: Path, config: RunConfig, payload: dict, passed: bool) -> 
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _csv_envelope(cfg: RunConfig) -> list[str]:
+    """Header line of a CSV table: the envelope as a `# envelope:` comment."""
+    return ["envelope: " + payload_bytes({"config": cfg.echo(),
+                                          "version": __version__}).decode()]
+
+
 def check_report(path: Path) -> dict:
     """Validate an emitted report; accepts the JSON reports and the CSV
     tables (whose first line carries the envelope as a # comment)."""
@@ -300,13 +306,8 @@ def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool]:
     res = ps.psi_for_params(p, v["operator"], n=v["n"], scan_count=v["scan_count"])
     table = [{"lam": float(l), "sigma_min": float(s)}
              for l, s in zip(res.lam_grid, res.sigma_grid)]
-    csv_path = cfg.out_dir / "psi_scan.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("# envelope: " + payload_bytes(
-            {"config": cfg.echo(), "version": __version__}).decode() + "\n")
-        fh.write("lam,sigma_min\n")
-        for row in table:
-            fh.write(f"{row['lam']!r},{row['sigma_min']!r}\n")
+    write_csv_table(cfg.out_dir / "psi_scan.csv", ["lam", "sigma_min"],
+                    ((row["lam"], row["sigma_min"]) for row in table), _csv_envelope(cfg))
     payload = {"psi": res.as_record(), "scan": table}
     return payload, res.psi > 0, not res.converged
 
@@ -318,8 +319,7 @@ def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool]:
     c_hat, rows = ps.resolvent_bound_sweep(
         v["kind"], v["nu"], v["alpha"], v["lambda"], betas=betas)
     ps.write_sweep_csv(rows, cfg.out_dir / "resolvent_sweep.csv",
-                       header_lines=["envelope: " + payload_bytes(
-                           {"config": cfg.echo()}).decode()])
+                       header_lines=_csv_envelope(cfg))
     flagged = [r for r in rows if r.get("flag")]
     payload = {"C_hat": c_hat.as_record(),
                "rows": [{k: _jsonable(val) for k, val in r.items()} for r in rows]}
@@ -339,7 +339,7 @@ def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool]:
     _, mh = assemble_mode_operators(p, grid)
     field = ps.pseudospectrum_grid(
         mh, (v["re_lo"], v["re_hi"], v["im_lo"], v["im_hi"]), (v["nx"], v["ny"]))
-    field.write_csv(cfg.out_dir / "pseudospectrum.csv")
+    field.write_csv(cfg.out_dir / "pseudospectrum.csv", header_lines=_csv_envelope(cfg))
     payload = {"min_sigma": float(field.sigma.min()),
                "max_sigma": float(field.sigma.max()),
                "shape": list(field.sigma.shape)}
@@ -360,13 +360,10 @@ def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool]:
                              method=v["method"])
     fit_f = ev.fit_decay_rate(traj, "f")
     fit_g = ev.fit_decay_rate(traj, "g", prefactor=True)
-    with open(cfg.out_dir / "trajectory.csv", "w") as fh:
-        fh.write("# envelope: " + payload_bytes({"config": cfg.echo()}).decode() + "\n")
-        fh.write("t,norm_f,norm_g,norm_q1f,norm_p1f,norm_dyf\n")
-        for i, t in enumerate(traj.times):
-            fh.write(",".join(repr(float(x)) for x in (
-                t, traj.norm_f[i], traj.norm_g[i], traj.norm_q1f[i],
-                traj.norm_p1f[i], traj.norm_dyf[i])) + "\n")
+    write_csv_table(cfg.out_dir / "trajectory.csv",
+                    ["t", "norm_f", "norm_g", "norm_q1f", "norm_p1f", "norm_dyf"],
+                    zip(traj.times, traj.norm_f, traj.norm_g, traj.norm_q1f,
+                        traj.norm_p1f, traj.norm_dyf), _csv_envelope(cfg))
     kappa2 = p.k1**2 + p.k3**2
     payload = {"fit_f": fit_f.as_record(), "fit_g": fit_g.as_record(),
                "nu_kappa2": p.nu * kappa2}
@@ -413,8 +410,7 @@ def _run_dns(cfg: RunConfig) -> tuple[dict, bool, bool]:
                       n=(v["n"],) * 3, epsilon=v["epsilon"], seed=cfg.seed, **kw)
     out = dns.run_simulation(c)
     out["tracker"].write_csv(cfg.out_dir / "dns_diagnostics.csv",
-                             header_lines=["envelope: " + payload_bytes(
-                                 {"config": cfg.echo()}).decode()])
+                             header_lines=_csv_envelope(cfg))
     payload = {"outcome": out["outcome"], "rate_neq": _jsonable(out["rate_neq"]),
                "m0": out["m0"], "m1": out["m1"],
                "m0_over_v0": out["m0_over_v0"], "resolved": out["resolved"]}
@@ -466,7 +462,6 @@ RUNNERS = {
 def run_subcommand(cfg: RunConfig) -> int:
     """Dispatch a parsed RunConfig; writes the report and returns the exit code."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    np.random.seed(cfg.seed % 2**32)  # legacy paths; all code uses Generators
     payload, passed, res_flag = RUNNERS[cfg.subcommand](cfg)
     write_report(cfg.out_dir / f"{cfg.subcommand.replace('-', '_')}_report.json",
                  cfg, payload, passed)

@@ -21,11 +21,11 @@ int |v|^2 = Vol * sum |c_k|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, write_csv_table
 
 TAIL_FRACTION_LIMIT = 1e-6
 DECAY_ENERGY_RATIO = 1e-8   # x-dependent energy drop that counts as decayed
@@ -366,16 +366,9 @@ class DiagnosticsTracker:
         return fr
 
     def write_csv(self, path, header_lines=None) -> None:
-        import csv
         cols = list(self.frames[0].as_record()) if self.frames else []
-        with open(path, "w", newline="") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for fr in self.frames:
-                rec = fr.as_record()
-                w.writerow([repr(rec[c]) for c in cols])
+        write_csv_table(path, cols, (fr.as_record().values() for fr in self.frames),
+                        header_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +483,20 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: SpectralField3D, path) -> None:
-    """Columnar restart file: config scalars, time, and the coefficient
-    array (3, nx, ny, nz) as complex128."""
+    """Columnar restart file: every DNSConfig field, the time, and the
+    coefficient array (3, nx, ny, nz) as complex128."""
     cfg = state.config
     np.savez(path, vhat=state.vhat, t=state.t,
-             nu=cfg.nu, gamma=cfg.gamma, k_f=cfg.k_f, n=np.array(cfg.n),
-             dt=cfg.dt, t_end=cfg.t_end, epsilon=cfg.epsilon, seed=cfg.seed,
-             c_prime=cfg.c_prime)
+             **{f.name: getattr(cfg, f.name) for f in fields(DNSConfig)})
 
 
 def load_checkpoint(path) -> SpectralField3D:
-    data = np.load(path)
-    cfg = DNSConfig(nu=float(data["nu"]), gamma=float(data["gamma"]),
-                    k_f=float(data["k_f"]), n=tuple(int(m) for m in data["n"]),
-                    dt=float(data["dt"]), t_end=float(data["t_end"]),
-                    epsilon=float(data["epsilon"]), seed=int(data["seed"]),
-                    c_prime=float(data["c_prime"]))
-    state = SpectralField3D(cfg)
-    state.vhat = data["vhat"]
-    state.t = float(data["t"])
+    """Restart state; a config field the file lacks (older files store no
+    nonlinear, background, cfl or filter_fraction) takes its default."""
+    with np.load(path) as data:
+        kw = {f.name: data[f.name].item() for f in fields(DNSConfig)
+              if f.name != "n" and f.name in data.files}
+        state = SpectralField3D(DNSConfig(n=tuple(int(m) for m in data["n"]), **kw))
+        state.vhat = data["vhat"]
+        state.t = float(data["t"])
     return state

@@ -4,20 +4,23 @@ Psi(H) = inf over real shifts lambda of sigma_min(H - i*lambda), computed in
 the euclidean or star metric. sigma_min(lambda) is 1-Lipschitz in lambda, so a
 coarse scan of spacing h brackets the infimum to within h before refinement.
 
-Two sigma_min paths are kept deliberately independent: dense LAPACK SVD for
-small problems, and inverse iteration on the normal equations using a banded
-LU of the shifted operator for large ones. The iterative path falls back to
-dense (and flags the result) if it stalls.
+sigma_min has two paths. Up to DENSE_SVD_MAX it is the last value of a dense
+LAPACK SVD. Above it, block inverse iteration on the normal equations runs on
+a banded LU of the shifted operator and stops on a residual test; if it has
+not converged after ITER_MAX iterations (the bottom singular values cluster
+when |lambda| > 1), a warning is issued and sigma_min is taken as the
+eigenvalue of the banded Hermitian Jordan-Wielandt matrix [[0, M], [M^*, 0]]
+that sits at index n. Both banded paths cost O(n) memory, and the worst case
+is one capped iteration plus one banded eigensolve.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eig_banded, lapack
 
 from .spectral import (
     ConfigurationError,
@@ -30,11 +33,12 @@ from .spectral import (
     assemble_mode_operators,
     assemble_N_lambda,
     build_grid,
+    write_csv_table,
 )
 
 DENSE_SVD_MAX = 256
 ITER_TOL = 1e-10
-ITER_MAX = 200
+ITER_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,10 @@ class PseudospectrumField:
     im: np.ndarray
     sigma: np.ndarray  # sigma[i, j] = sigma_min(A - (re[j] + i*im[i]))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re", "im", "sigma_min"])
-            for i, b in enumerate(self.im):
-                for j, a in enumerate(self.re):
-                    w.writerow([repr(a), repr(b), repr(self.sigma[i, j])])
+    def write_csv(self, path, header_lines: list[str] | None = None) -> None:
+        rows = ((a, b, self.sigma[i, j])
+                for i, b in enumerate(self.im) for j, a in enumerate(self.re))
+        write_csv_table(path, ["re", "im", "sigma_min"], rows, header_lines)
 
 
 @dataclass
@@ -123,14 +124,29 @@ def _banded_storage(diags: dict[int, np.ndarray], n: int, kl: int, ku: int) -> n
     return ab
 
 
+def _norm_bound(op: OperatorMatrix) -> float:
+    """sqrt(||M||_1 ||M||_inf) >= ||M||_2, read off the diagonals."""
+    col = np.zeros(op.n)
+    row = np.zeros(op.n)
+    for k, v in op.diags.items():
+        j = np.arange(op.n - abs(k))
+        rows, cols = (j, j + k) if k >= 0 else (j - k, j)
+        col[cols] += np.abs(v)
+        row[rows] += np.abs(v)
+    return float(np.sqrt(col.max() * row.max()))
+
+
 def _sigma_min_banded(op: OperatorMatrix, rng_seed: int = 0x5EED,
-                      block: int = 3) -> tuple[float, bool]:
+                      block: int = 3) -> float | None:
     """sigma_min via block inverse iteration with (M^*M)^(-1) = M^(-1) M^(-*).
 
     One banded LU of M serves both solves per iteration (zgbtrs supports the
     conjugate-transpose triangles of the same factorization). A small block
     rides through the near-degenerate singular pairs the lambda=0 symmetry
-    produces; sigma_min is the smallest Ritz value of M on the block.
+    produces; sigma_min is the smallest Ritz value of M on the block. The
+    iteration stops once the Ritz pair (sigma, z), u = Mz/sigma, has
+    ||M^* u - sigma z|| <= ITER_TOL * ||M||; after ITER_MAX iterations
+    without that it returns None (a stall).
     """
     n = op.n
     bw = max((abs(k) for k in op.diags), default=0)
@@ -139,84 +155,53 @@ def _sigma_min_banded(op: OperatorMatrix, rng_seed: int = 0x5EED,
     lu, ipiv, info = lapack.zgbtrf(ab, kl, ku)
     if info != 0:
         # exactly singular shifted operator: sigma_min is zero
-        return 0.0, True
+        return 0.0
     rng = np.random.default_rng(rng_seed)
     b = min(block, n)
     v = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
     v, _ = np.linalg.qr(v)
-
-    def ritz_sigma(vblock):
-        w = np.column_stack([op.matvec(vblock[:, j]) for j in range(vblock.shape[1])])
-        gram = w.conj().T @ w
-        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[0], 0.0)))
-
-    sigma_prev = np.inf
-    converged = False
-    sigma = np.inf
+    adjoint = op.adjoint()
+    tol = ITER_TOL * _norm_bound(op)
     for _ in range(ITER_MAX):
         y, info1 = lapack.zgbtrs(lu, kl, ku, v, ipiv, trans=2)   # M^(-*) V
         x, info2 = lapack.zgbtrs(lu, kl, ku, y, ipiv, trans=0)   # M^(-1) Y
         if info1 != 0 or info2 != 0 or not np.all(np.isfinite(x)):
-            return 0.0, False
+            return None
         v, _ = np.linalg.qr(x)
-        sigma = ritz_sigma(v)
-        if abs(sigma - sigma_prev) <= ITER_TOL * max(sigma, 1e-300):
-            converged = True
-            break
-        sigma_prev = sigma
-    if not converged:
-        # densely clustered bottom singular values (e.g. |lambda| > 1, where
-        # the multiplication part dominates): polish with a Lanczos pass on
-        # the same factorization before anyone pays for a dense SVD
-        sigma_l, ok = _sigma_min_lanczos(op, lu, ipiv, kl, ku, rng_seed)
-        if ok:
-            return sigma_l, True
-        sigma = min(sigma, sigma_l)
-    return sigma, converged
+        w = op.matvec(v)
+        _, evecs = np.linalg.eigh(w.conj().T @ w)
+        mz = w @ evecs[:, 0]
+        sigma = float(np.linalg.norm(mz))
+        if sigma == 0.0:
+            return 0.0
+        resid = adjoint.matvec(mz / sigma) - sigma * (v @ evecs[:, 0])
+        if np.linalg.norm(resid) <= tol:
+            return sigma
+    return None
 
 
-def _sigma_min_lanczos(op: OperatorMatrix, lu, ipiv, kl: int, ku: int,
-                       rng_seed: int, m_max: int = 400) -> tuple[float, bool]:
-    """Largest eigenvalue of (M^*M)^(-1) by Lanczos with full reorthogonalization;
-    sigma_min(M) = 1/sqrt(mu_max). Uses the banded LU already computed."""
+def _sigma_min_jordan_wielandt(op: OperatorMatrix) -> float:
+    """sigma_min as eigenvalue n (ascending, from 0) of the Hermitian
+    Jordan-Wielandt matrix B = [[0, M], [M^*, 0]], whose eigenvalues are
+    +-sigma_i (Golub & Van Loan, Matrix Computations, sec. 8.6).
+
+    Rows and columns interleave (2i <- row i of M, 2c+1 <- column c), so B
+    is banded with half-bandwidth 2*bw+1. Its lower band holds M[i, c] at
+    B[2i, 2c+1] for i > c and conj(M[i, c]) at B[2c+1, 2i] for c >= i.
+    Bisection on the tridiagonalized band gives sigma_min to an absolute
+    error of order eps*||M||, whatever the clustering.
+    """
     n = op.n
-    rng = np.random.default_rng(rng_seed ^ 0xA5A5)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    mu = np.nan
-    for j in range(min(m_max, n)):
-        y, i1 = lapack.zgbtrs(lu, kl, ku, basis[-1][:, None], ipiv, trans=2)
-        w, i2 = lapack.zgbtrs(lu, kl, ku, y, ipiv, trans=0)
-        if i1 != 0 or i2 != 0 or not np.all(np.isfinite(w)):
-            return np.inf, False
-        w = w[:, 0]
-        a = float(np.real(np.vdot(basis[-1], w)))
-        alphas.append(a)
-        # full reorthogonalization keeps the clustered top clean
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        nb = np.linalg.norm(w)
-        t = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            t += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(t)
-        mu = evals[-1]
-        resid = nb * abs(evecs[-1, -1])
-        if mu > 0 and resid <= 1e-10 * mu:
-            return 1.0 / np.sqrt(mu), True
-        if nb == 0.0:
-            return (1.0 / np.sqrt(mu), True) if mu > 0 else (np.inf, False)
-        betas.append(float(nb))
-        basis.append(w / nb)
-    if mu > 0:
-        return 1.0 / np.sqrt(mu), False
-    return np.inf, False
+    bw = max((abs(k) for k in op.diags), default=0)
+    ab = np.zeros((2 * bw + 2, 2 * n), dtype=complex)
+    for k, v in op.diags.items():
+        j = np.arange(n - abs(k))
+        if k >= 0:   # M[j, j+k] = v[j] -> B[2(j+k)+1, 2j]
+            ab[2 * k + 1, 2 * j] = np.conj(v)
+        else:        # M[j-k, j] = v[j] -> B[2(j-k), 2j+1]
+            ab[-2 * k - 1, 2 * j + 1] = v
+    w = eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(n, n))
+    return abs(float(w[0]))
 
 
 def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
@@ -235,14 +220,12 @@ def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
         shifted = shifted.scaled_similarity(metric.sqrt_weights())
     if method == "dense" or (method == "auto" and shifted.n <= DENSE_SVD_MAX):
         return float(np.linalg.svd(shifted.dense(), compute_uv=False)[-1])
-    sigma, ok = _sigma_min_banded(shifted)
-    if not ok:
-        if method == "banded":
-            warnings.warn("banded sigma_min did not converge; returning last iterate")
-            return sigma
-        warnings.warn("banded sigma_min did not converge; falling back to dense")
-        return float(np.linalg.svd(shifted.dense(), compute_uv=False)[-1])
-    return sigma
+    sigma = _sigma_min_banded(shifted)
+    if sigma is not None:
+        return sigma
+    warnings.warn(f"banded sigma_min did not converge in {ITER_MAX} iterations; "
+                  "falling back to dense-accuracy Jordan-Wielandt eigensolve")
+    return _sigma_min_jordan_wielandt(shifted)
 
 
 def _column_norm_bound(op: OperatorMatrix, lam: float) -> float:
@@ -498,11 +481,4 @@ def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",
 def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
     cols = ["kind", "which", "nu", "gamma", "k_f", "k1", "k3", "alpha", "beta",
             "lam", "lam_star", "n", "sigma_min", "psi", "ratio", "flag"]
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([repr(r[c]) if isinstance(r.get(c), float) else r.get(c, "")
-                        for c in cols])
+    write_csv_table(path, cols, ([r.get(c) for c in cols] for r in rows), header_lines)

@@ -12,6 +12,7 @@ values via the quadrature weight 2*pi/N.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -212,13 +213,20 @@ class OperatorMatrix:
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n, dtype=complex)
+        """A @ x for a vector or an (n, b) block of column vectors."""
+        out = np.zeros(np.shape(x), dtype=complex)
         for k, v in self.diags.items():
+            v = v.reshape((-1,) + (1,) * (out.ndim - 1))
             if k >= 0:
                 out[: self.n - k] += v * x[k:]
             else:
                 out[-k:] += v * x[: self.n + k]
         return out
+
+    def adjoint(self) -> "OperatorMatrix":
+        """Return A^* (conjugate transpose): diagonal k moves to offset -k."""
+        diags = {-k: np.conj(v) for k, v in self.diags.items()}
+        return OperatorMatrix(self.kind, self.n, diags, dict(self.meta))
 
     def shifted(self, lam: float) -> "OperatorMatrix":
         """Return A - i*lam*I (the pseudospectral shift)."""
@@ -440,3 +448,25 @@ class StarMetric:
         cc, dd = (c, d) if self.keep is None else (c[self.keep], d[self.keep])
         w = self.weights if self.keep is None else self.weights[self.keep]
         return TWO_PI * np.sum(cc * np.conj(dd) * w)
+
+
+# ---------------------------------------------------------------------------
+# CSV tables (shared by every module that writes one)
+# ---------------------------------------------------------------------------
+
+def _csv_cell(x) -> str:
+    """One CSV cell. Real numbers, numpy scalars included, are written as
+    repr(float(x)), which float() reads back exactly; None is empty."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def write_csv_table(path, columns: list[str], rows, header_lines: list[str] | None = None) -> None:
+    """Write `# line` comments, the column row, then one row per sequence."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines or []:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([_csv_cell(x) for x in row] for row in rows)

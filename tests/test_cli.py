@@ -1,5 +1,6 @@
 """Config parsing, exit codes, envelopes and byte-identical reruns."""
 
+import csv
 import json
 
 import numpy as np
@@ -171,3 +172,53 @@ class TestEndToEnd:
         assert code in (EXIT_OK, EXIT_RESOLUTION)
         doc = json.loads((tmp_path / "t" / "threshold_report.json").read_text())
         assert doc["payload"]["monotone_in_nu"] is True
+
+
+class TestOutputFiles:
+    """Every file a subcommand writes passes check_report, and every data
+    cell of its CSV tables is a number float() reads (label columns aside)."""
+
+    LABELS = {"kind", "which", "flag"}
+
+    def check_outputs(self, out_dir, expected):
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert files == sorted(expected)
+        for name in files:
+            path = out_dir / name
+            assert main(["check-report", "--report", str(path)]) == EXIT_OK
+            doc = check_report(path)
+            assert doc["envelope"]["version"]
+            if name.endswith(".csv"):
+                lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+                rows = list(csv.reader(lines))
+                assert len(rows) > 1
+                header = rows[0]
+                for row in rows[1:]:
+                    assert len(row) == len(header)
+                    for col, cell in zip(header, row):
+                        if col not in self.LABELS and cell != "":
+                            float(cell)
+        return out_dir
+
+    def test_resolvent_sweep_outputs(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("kind = Nlambda\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n")
+        out = tmp_path / "o"
+        assert main(["resolvent-sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        self.check_outputs(out, ["resolvent_sweep.csv", "resolvent_sweep_report.json"])
+        rows = list(csv.DictReader(
+            l for l in (out / "resolvent_sweep.csv").read_text().splitlines()
+            if not l.startswith("#")))
+        assert len(rows) == 4
+        assert all(float(r["sigma_min"]) > 0 and float(r["ratio"]) > 0 for r in rows)
+
+    def test_pseudospectrum_outputs(self, tmp_path):
+        cfgfile = tmp_path / "ps.cfg"
+        cfgfile.write_text("nu = 0.05\ngamma = 0.3\nk_f = 1\nk1 = 1\nk3 = 0\nn = 32\n"
+                           "re_lo = 0\nre_hi = 1\nim_lo = -2\nim_hi = 2\nnx = 8\nny = 8\n")
+        out = tmp_path / "o"
+        assert main(["pseudospectrum", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        self.check_outputs(out, ["pseudospectrum.csv", "pseudospectrum_report.json"])
+        lines = (out / "pseudospectrum.csv").read_text().splitlines()
+        assert lines[1] == "re,im,sigma_min"
+        assert len(lines) == 2 + 64

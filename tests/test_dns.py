@@ -246,6 +246,30 @@ class TestRuns:
         step_imex(st)
         assert np.allclose(back.vhat, st.vhat, rtol=0, atol=0)
 
+    def test_checkpoint_keeps_linear_no_background_config(self, tmp_path):
+        cfg = base_config(epsilon=1e-2, seed=5, dt=0.02, nonlinear=False,
+                          background=False, cfl=0.4, filter_fraction=0.25)
+        st = init_perturbation(cfg)
+        for _ in range(3):
+            step_imex(st)
+        save_checkpoint(st, tmp_path / "chk.npz")
+        back = load_checkpoint(tmp_path / "chk.npz")
+        assert back.config == st.config
+        for _ in range(3):
+            step_imex(back)
+            step_imex(st)
+        assert np.array_equal(back.vhat, st.vhat)
+
+    def test_checkpoint_without_new_fields_loads_defaults(self, tmp_path):
+        cfg = base_config(epsilon=1e-3, seed=3, dt=0.02)
+        st = init_perturbation(cfg)
+        # the restart layout before nonlinear/background/cfl/filter_fraction
+        np.savez(tmp_path / "old.npz", vhat=st.vhat, t=st.t, nu=cfg.nu, gamma=cfg.gamma,
+                 k_f=cfg.k_f, n=np.array(cfg.n), dt=cfg.dt, t_end=cfg.t_end,
+                 epsilon=cfg.epsilon, seed=cfg.seed, c_prime=cfg.c_prime)
+        back = load_checkpoint(tmp_path / "old.npz")
+        assert back.config == cfg
+
     def test_zero_epsilon_row_trivially_decays(self):
         tmap = run_threshold_sweep([0.05], [0.0],
                                    {"k_f": 0.5, "n": (16, 16, 16), "t_end": 2.0})

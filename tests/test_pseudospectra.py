@@ -1,12 +1,16 @@
 """sigma_min paths, Psi scans, pseudospectrum fields and bound sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from kolmoflow.spectral import (
     ModeParams,
     OperatorMatrix,
+    ResolventQuery,
     StarMetric,
+    assemble_L_lambda,
     assemble_mode_operators,
     assemble_N_lambda,
     build_grid,
@@ -14,6 +18,7 @@ from kolmoflow.spectral import (
 from kolmoflow.pseudospectra import (
     EmpiricalConstants,
     PsiQuery,
+    _sigma_min_jordan_wielandt,
     compute_psi,
     default_psi_query,
     pseudospectrum_grid,
@@ -26,6 +31,15 @@ from kolmoflow.pseudospectra import (
 
 def diag_op(*values):
     return OperatorMatrix.from_dense(np.diag(np.asarray(values, dtype=complex)))
+
+
+def n_lambda_cell(nu, alpha, n, lam):
+    p = ModeParams(nu=nu, gamma=max(abs(alpha), 1.0), k_f=1.0, k1=1, k3=0)
+    return assemble_N_lambda(p, lam, build_grid(n, p, alpha=alpha), alpha=alpha)
+
+
+def dense_sigma_min(op):
+    return np.linalg.svd(op.dense(), compute_uv=False)[-1]
 
 
 class TestSigmaMin:
@@ -46,6 +60,36 @@ class TestSigmaMin:
         dense = smallest_singular_value(op, method="dense")
         banded = smallest_singular_value(op, method="banded")
         assert abs(dense - banded) / dense <= 1e-9
+
+    def test_banded_residual_stop_matches_dense(self):
+        # a stop on the change of sigma accepts an answer 1.3e-9 off here
+        op = n_lambda_cell(1e-2, 10.0, 256, 0.75)
+        dense = dense_sigma_min(op)
+        banded = smallest_singular_value(op, method="banded")
+        assert abs(banded - dense) / dense <= 1e-12
+
+    def test_stall_falls_back_once_to_jordan_wielandt(self):
+        # |lambda| > 1 clusters the bottom singular values: inverse iteration
+        # stalls at its cap and the banded eigensolve takes over
+        op = n_lambda_cell(1e-3, 100.0, 1024, 1.5)
+        dense = dense_sigma_min(op)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sigma = smallest_singular_value(op)
+        fallbacks = [w for w in caught if "falling back to dense" in str(w.message)]
+        assert len(fallbacks) == 1 and len(caught) == 1
+        assert abs(sigma - dense) / dense <= 1e-10
+
+    def test_jordan_wielandt_star_metric_l_lambda(self):
+        p = ModeParams(nu=1e-2, gamma=100.0, k_f=1.0, k1=1, k3=0)
+        grid = build_grid(128, p, alpha=100.0)
+        metric = StarMetric.for_beta(2.0, grid)
+        for lam in (0.0, 0.75, 1.5):
+            q = ResolventQuery(lam=lam, beta_tilde=np.sqrt(3.0))
+            op = assemble_L_lambda(p, q, grid, alpha=100.0, beta=2.0)
+            m = op.scaled_similarity(metric.sqrt_weights())
+            dense = dense_sigma_min(m)
+            assert abs(_sigma_min_jordan_wielandt(m) - dense) / dense <= 1e-12
 
     def test_metric_consistency(self):
         # euclid and star sigma_min within factors (1-beta^-2)^(+-1/2)

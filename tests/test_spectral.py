@@ -380,3 +380,13 @@ def test_operator_matrix_restriction_keeps_band():
     assert sub.bandwidth <= 2
     dense = op.dense()
     assert np.allclose(sub.dense(), dense[np.ix_(keep, keep)])
+
+
+def test_operator_matrix_block_matvec_and_adjoint():
+    p = params_for(k_f=0.5, k1=1, k3=1)
+    grid = build_grid(32, p)
+    op = assemble_L_lambda(p, ResolventQuery.from_params(p, 0.3), grid)
+    block = RNG.standard_normal((32, 3)) + 1j * RNG.standard_normal((32, 3))
+    by_column = np.column_stack([op.matvec(block[:, j]) for j in range(3)])
+    assert np.array_equal(op.matvec(block), by_column)
+    assert np.array_equal(op.adjoint().dense(), op.dense().conj().T)
