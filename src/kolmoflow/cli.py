@@ -256,7 +256,8 @@ def _csv_envelope(cfg: RunConfig) -> list[str]:
 
 def check_report(path: Path) -> dict:
     """Validate an emitted report; accepts the JSON reports and the CSV
-    tables (whose first line carries the envelope as a # comment)."""
+    tables (whose first line carries the envelope as a # comment). A CSV
+    table carries no verdict, so its summary reads passed: None."""
     text = Path(path).read_text()
     if text.startswith("#"):
         first, rest = text.split("\n", 1)
@@ -271,7 +272,7 @@ def check_report(path: Path) -> dict:
                              "version": env.get("version", ""),
                              "timestamp": "", "config": env.get("config", {})},
                 "payload": {"columns": header.split(",")},
-                "summary": {"passed": True}}
+                "summary": {"passed": None}}
     doc = json.loads(text)
     for section in ("envelope", "payload", "summary"):
         if section not in doc:
@@ -482,7 +483,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="plain-text key=value configuration file")
     ap.add_argument("--out", type=Path, default=Path("out"),
                     help="output directory for reports and CSV tables")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="parallel workers for threshold sweep cells")
     ap.add_argument("--seed", type=int, default=0, help="u64 RNG seed")
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")
@@ -498,9 +500,10 @@ def main(argv: list[str] | None = None) -> int:
         except (ConfigError, json.JSONDecodeError, OSError) as exc:
             print(f"invalid report: {exc}", file=sys.stderr)
             return getattr(exc, "code", EXIT_CONFIG)
+        passed = doc["summary"]["passed"]
+        verdict = "n/a (CSV tables carry no verdict)" if passed is None else passed
         print(f"valid kolmoflow report: subcommand="
-              f"{doc['envelope']['config'].get('subcommand')!r}, "
-              f"passed={doc['summary']['passed']}")
+              f"{doc['envelope']['config'].get('subcommand')!r}, passed={verdict}")
         return EXIT_OK
 
     try:

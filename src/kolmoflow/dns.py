@@ -16,7 +16,14 @@ Leray projection; the retained mode set is closed under the dynamics.
 
 Fields are stored as normalized Fourier coefficients: v = sum c_k e^{ik.x},
 so the (0,0,0) coefficient is the volume mean and Parseval reads
-int |v|^2 = Vol * sum |c_k|^2.
+int |v|^2 = Vol * sum |c_k|^2. The fields are real, so only the rfftn half
+spectrum kz >= 0 is held, shape (3, nx, ny, nz//2+1); the kz < 0 modes are
+the conjugates c_{-k} = conj(c_k). Sums over the full spectrum therefore
+weight each stored mode by its multiplicity: 1 on the self-conjugate kz = 0
+and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). Restart files
+hold the same half layout; `load_checkpoint` also reads files written in
+the earlier full-spectrum layout (last axis nz) by keeping their kz >= 0
+part.
 """
 
 from __future__ import annotations
@@ -66,43 +73,58 @@ class DNSConfig:
                 f"dt={self.dt:.3g} violates the CFL {self.cfl} estimate")
 
 
+def _wavenumbers(n: tuple[int, int, int]):
+    """Integer wavenumbers of the half-spectrum layout, broadcast to 3D:
+    fft order along x and y, 0..nz/2 along z."""
+    nx, ny, nz = n
+    return (np.fft.fftfreq(nx, 1.0 / nx)[:, None, None],
+            np.fft.fftfreq(ny, 1.0 / ny)[None, :, None],
+            np.fft.rfftfreq(nz, 1.0 / nz)[None, None, :])
+
+
+def _box_mask(n: tuple[int, int, int], cutoff) -> np.ndarray:
+    """Modes with |integer wavenumber| <= cutoff(m) along every axis."""
+    ix, iy, iz = _wavenumbers(n)
+    return ((np.abs(ix) <= cutoff(n[0])) & (np.abs(iy) <= cutoff(n[1]))
+            & (iz <= cutoff(n[2])))
+
+
 class SpectralField3D:
     """Divergence-free perturbation velocity as Fourier coefficients.
 
-    Layout: vhat[c, ix, iy, iz] over numpy fft frequencies; x,z wavenumbers
-    are integers, y wavenumbers are k_f * integers (box 2pi/k_f). Real
-    fields keep Hermitian symmetry by construction.
+    Layout: vhat[c, ix, iy, iz], the rfftn half spectrum (3, nx, ny, nz//2+1);
+    x,z wavenumbers are integers, y wavenumbers are k_f * integers (box
+    2pi/k_f). The kz < 0 half is implied by Hermitian symmetry.
     """
 
     def __init__(self, config: DNSConfig):
         nx, ny, nz = config.n
         self.config = config
-        self.ntot = nx * ny * nz
+        self.shape = (nx, ny, nz)
         self.vol = (2.0 * np.pi) ** 3 / config.k_f
-        self.kx = np.fft.fftfreq(nx, 1.0 / nx)[:, None, None]
-        self.ky = (config.k_f * np.fft.fftfreq(ny, 1.0 / ny))[None, :, None]
-        self.kz = np.fft.fftfreq(nz, 1.0 / nz)[None, None, :]
+        self.kx, iy, self.kz = _wavenumbers(config.n)
+        self.ky = config.k_f * iy
         self.k2 = self.kx**2 + self.ky**2 + self.kz**2
         self.k2_safe = np.where(self.k2 == 0.0, 1.0, self.k2)
-
-        def axis_mask(m):
-            k = np.abs(np.fft.fftfreq(m, 1.0 / m))
-            return k <= m / 3.0
-
-        self.dealias = (axis_mask(nx)[:, None, None]
-                        & axis_mask(ny)[None, :, None]
-                        & axis_mask(nz)[None, None, :])
-        self.vhat = np.zeros((3, nx, ny, nz), dtype=complex)
+        # multiplicity of each stored mode in the full spectrum
+        self.weight = np.where((self.kz == 0) | (self.kz == nz // 2), 1.0, 2.0)
+        self.dealias = _box_mask(config.n, lambda m: m / 3.0)
+        self.vhat = np.zeros((3, nx, ny, nz // 2 + 1), dtype=complex)
         self.t = 0.0
+        self.step_factors = None  # (dt, e_full, e_half, e_back), see step_imex
 
-    # -- transforms (normalized coefficients) -------------------------------
+    # -- transforms (normalized coefficients, batched over leading axes) -----
     def to_physical(self, chat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(chat, axes=(-3, -2, -1)) * self.ntot
+        return np.fft.irfftn(chat, s=self.shape, axes=(-3, -2, -1), norm="forward")
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(v, axes=(-3, -2, -1)) / self.ntot
+        return np.fft.rfftn(v, axes=(-3, -2, -1), norm="forward")
 
     # -- algebra -------------------------------------------------------------
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re int a . conj(b) over the box, for half-spectrum coefficients."""
+        return float(self.vol * np.sum(self.weight * (a * np.conj(b)).real))
+
     def leray_project(self, what: np.ndarray) -> np.ndarray:
         kv = (self.kx * what[0] + self.ky * what[1] + self.kz * what[2]) / self.k2_safe
         out = what.copy()
@@ -118,33 +140,37 @@ class SpectralField3D:
         return float(div.max() / scale)
 
     def hermitian_defect(self) -> float:
-        defect = 0.0
-        for c in range(3):
-            v = self.to_physical(self.vhat[c])
-            defect = max(defect, float(np.max(np.abs(v.imag))
-                                       / max(np.max(np.abs(v)), 1e-300)))
-        return defect
+        """Largest |c_k - conj(c_{-k})| on the self-conjugate kz = 0 and
+        Nyquist planes, relative to the largest coefficient. Elsewhere the
+        half layout implies the symmetry."""
+        nx, ny, nz = self.shape
+        flip_x = (-np.arange(nx)) % nx
+        flip_y = (-np.arange(ny)) % ny
+        planes = self.vhat[..., [0, nz // 2]]
+        mirror = np.conj(planes[:, flip_x][:, :, flip_y])
+        scale = max(np.max(np.abs(self.vhat)), 1e-300)
+        return float(np.max(np.abs(planes - mirror)) / scale)
 
     def l2_norm_sq(self, what: np.ndarray | None = None) -> float:
         w = self.vhat if what is None else what
-        return float(self.vol * np.sum(np.abs(w) ** 2))
+        return self.inner(w, w)
 
     def grad_norm_sq(self) -> float:
-        return float(self.vol * np.sum(self.k2 * np.abs(self.vhat) ** 2))
+        return self.inner(self.k2 * self.vhat, self.vhat)
 
     def h2_norm(self, what: np.ndarray | None = None) -> float:
         w = self.vhat if what is None else what
-        return float(np.sqrt(self.vol * np.sum((1.0 + self.k2) ** 2 * np.abs(w) ** 2)))
+        return float(np.sqrt(self.inner((1.0 + self.k2) ** 2 * w, w)))
 
     def h1_norm(self, what: np.ndarray) -> float:
-        return float(np.sqrt(self.vol * np.sum((1.0 + self.k2) * np.abs(what) ** 2)))
+        return float(np.sqrt(self.inner((1.0 + self.k2) * what, what)))
 
     def tail_fraction(self) -> float:
-        tot = np.sum(np.abs(self.vhat) ** 2)
+        tot = self.inner(self.vhat, self.vhat)
         if tot == 0.0:
             return 0.0
-        tail = np.sum(np.abs(self.vhat[:, ~self.dealias]) ** 2)
-        return float(tail / tot)
+        tail = np.where(self.dealias, 0.0, self.vhat)
+        return self.inner(tail, tail) / tot
 
 
 def init_perturbation(config: DNSConfig) -> SpectralField3D:
@@ -155,18 +181,8 @@ def init_perturbation(config: DNSConfig) -> SpectralField3D:
         return state
     rng = np.random.default_rng(config.seed)
     nx, ny, nz = config.n
-    # real white noise -> Hermitian symmetry for free
-    noise = rng.standard_normal((3, nx, ny, nz))
-    what = state.to_spectral(noise)
-
-    def axis_keep(m, frac):
-        k = np.abs(np.fft.fftfreq(m, 1.0 / m))
-        return k <= m * frac
-
-    keep = (axis_keep(nx, config.filter_fraction)[:, None, None]
-            & axis_keep(ny, config.filter_fraction)[None, :, None]
-            & axis_keep(nz, config.filter_fraction)[None, None, :])
-    what *= keep
+    what = state.to_spectral(rng.standard_normal((3, nx, ny, nz)))
+    what *= _box_mask(config.n, lambda m: m * config.filter_fraction)
     what[:, 0, 0, 0] = 0.0  # perturbation carries no mean flow
     what = state.leray_project(what)
     state.vhat = what
@@ -177,63 +193,62 @@ def init_perturbation(config: DNSConfig) -> SpectralField3D:
 
 
 def _shift_ky(w: np.ndarray, s: int) -> np.ndarray:
-    """Shift the y-frequency by s grid steps (multiplication by e^{+-i k_f y}).
+    """Shift the y-frequency (axis -2) by s = +-1 grid steps (multiplication
+    by e^{+-i k_f y}).
 
-    Works in monotone frequency order so the shift is uniform across the
-    spectrum; Galerkin: frequencies shifted past the boundary are dropped,
-    not wrapped."""
-    m = np.fft.fftshift(w, axes=1)
-    m = np.roll(m, s, axis=1)
-    if s > 0:
-        m[:, :s, :] = 0.0
+    Slice moves in natural fft order; Galerkin: the frequency shifted past
+    the +-ny/2 boundary is dropped, not wrapped."""
+    ny = w.shape[-2]
+    out = np.empty_like(w)
+    if s == 1:
+        out[..., 1:, :] = w[..., :-1, :]
+        out[..., 0, :] = w[..., -1, :]
+        out[..., ny // 2, :] = 0.0    # would receive ky = ny/2 - 1 wrapped
+    elif s == -1:
+        out[..., :-1, :] = w[..., 1:, :]
+        out[..., -1, :] = w[..., 0, :]
+        out[..., ny // 2 - 1, :] = 0.0  # would receive ky = -ny/2 wrapped
     else:
-        m[:, s:, :] = 0.0
-    return np.fft.ifftshift(m, axes=1)
+        raise ValueError(f"shift must be +-1, got {s}")
+    return out
 
 
-def background_rhs(state: SpectralField3D) -> np.ndarray:
+def background_rhs(state: SpectralField3D, what: np.ndarray | None = None) -> np.ndarray:
     """-(U* dx V + v2 dU*/dy e_x) via exact +-k_f spectral shifts."""
     cfg = state.config
     amp = cfg.gamma / (cfg.nu * cfg.k_f**2)
-    v = state.vhat
-    rhs = np.zeros_like(v)
-    for c in range(3):
-        dxv = 1j * state.kx * v[c]
-        # sin(k_f y) g: (shift up - shift down)/(2i)
-        rhs[c] -= amp * (_shift_ky(dxv, 1) - _shift_ky(dxv, -1)) / (2.0 * 1j)
+    v = state.vhat if what is None else what
+    # sin(k_f y) dx V = (shift up - shift down)/(2i) of i kx V
+    rhs = (-0.5 * amp) * state.kx * (_shift_ky(v, 1) - _shift_ky(v, -1))
     lift = cfg.gamma / (cfg.nu * cfg.k_f)
     rhs[0] -= lift * (_shift_ky(v[1], 1) + _shift_ky(v[1], -1)) / 2.0
     return rhs
 
 
 def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None) -> np.ndarray:
-    """-(V.grad)V in rotation form omega x V (the |V|^2/2 gradient falls to
-    the projection); products on the 2/3-masked set."""
+    """Rotation form omega x V of the advection term (the |V|^2/2 gradient
+    falls to the projection); products on the 2/3-masked set. One batched
+    inverse transform of (V, omega) and one forward transform of the
+    products."""
     v = (state.vhat if what is None else what) * state.dealias
-    vx = state.to_physical(v[0]).real
-    vy = state.to_physical(v[1]).real
-    vz = state.to_physical(v[2]).real
-    wx = state.to_physical(1j * (state.ky * v[2] - state.kz * v[1])).real
-    wy = state.to_physical(1j * (state.kz * v[0] - state.kx * v[2])).real
-    wz = state.to_physical(1j * (state.kx * v[1] - state.ky * v[0])).real
-    cx = wy * vz - wz * vy
-    cy = wz * vx - wx * vz
-    cz = wx * vy - wy * vx
-    out = np.stack([state.to_spectral(cx), state.to_spectral(cy),
-                    state.to_spectral(cz)])
-    return out * state.dealias
+    kx, ky, kz = state.kx, state.ky, state.kz
+    both = np.empty((6,) + v.shape[1:], dtype=complex)
+    both[:3] = v
+    both[3] = 1j * (ky * v[2] - kz * v[1])
+    both[4] = 1j * (kz * v[0] - kx * v[2])
+    both[5] = 1j * (kx * v[1] - ky * v[0])
+    vx, vy, vz, wx, wy, wz = state.to_physical(both)
+    prod = np.stack([wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx])
+    return state.to_spectral(prod) * state.dealias
 
 
 def explicit_rhs(state: SpectralField3D, what: np.ndarray) -> np.ndarray:
     cfg = state.config
-    saved = state.vhat
-    state.vhat = what
     rhs = np.zeros_like(what)
     if cfg.background:
-        rhs += background_rhs(state)
+        rhs += background_rhs(state, what)
     if cfg.nonlinear:
-        rhs += nonlinear_rhs(state)
-    state.vhat = saved
+        rhs += nonlinear_rhs(state, what)
     return state.leray_project(rhs * state.dealias)
 
 
@@ -245,13 +260,17 @@ def step_imex(state: SpectralField3D, dt: float | None = None) -> SpectralField3
         u_half = 3/4 E(h/2) u0 + 1/4 E(-h/2) (u1 + h N(u1))
         u_new  = 1/3 E(h) u0 + 2/3 E(h/2) (u_half + h N(u_half))
     The E(-h/2) growth factor only acts on retained (dealiased) modes, where
-    nu k^2 h stays CFL-bounded.
+    nu k^2 h stays CFL-bounded. The three factors are cached on the state
+    for the step size they were built for.
     """
     cfg = state.config
     h = cfg.dt if dt is None else dt
-    e_full = np.exp(-cfg.nu * state.k2 * h)
-    e_half = np.exp(-cfg.nu * state.k2 * (h / 2.0))
-    e_back = np.exp(np.minimum(cfg.nu * state.k2 * (h / 2.0), 200.0)) * state.dealias
+    if state.step_factors is None or state.step_factors[0] != h:
+        e_full = np.exp(-cfg.nu * state.k2 * h)
+        e_half = np.exp(-cfg.nu * state.k2 * (h / 2.0))
+        e_back = np.exp(np.minimum(cfg.nu * state.k2 * (h / 2.0), 200.0)) * state.dealias
+        state.step_factors = (h, e_full, e_half, e_back)
+    _, e_full, e_half, e_back = state.step_factors
 
     u0 = state.vhat
     u1 = e_full * (u0 + h * explicit_rhs(state, u0))
@@ -336,13 +355,11 @@ class DiagnosticsTracker:
     def frame(self, state: SpectralField3D) -> DiagnosticsFrame:
         cfg = self.config
         v = state.vhat
-        kx, ky, kz = state.kx, state.ky, state.kz
-        lap_v2 = -state.k2 * v[1]
-        neq = np.broadcast_to(np.abs(kx) > 0, lap_v2.shape)
-        vol = state.vol
-        lap_v2_neq = float(np.sqrt(vol * np.sum(np.abs(lap_v2[neq]) ** 2)))
-        w2 = 1j * (kz * v[0] - kx * v[2])
-        dx_w2 = float(np.sqrt(vol * np.sum(np.abs(1j * kx * w2) ** 2)))
+        kx, kz = state.kx, state.kz
+        lap_v2_neq_hat = np.where(kx != 0, -state.k2 * v[1], 0.0)
+        lap_v2_neq = float(np.sqrt(state.inner(lap_v2_neq_hat, lap_v2_neq_hat)))
+        dx_w2_hat = 1j * kx * (1j * (kz * v[0] - kx * v[2]))
+        dx_w2 = float(np.sqrt(state.inner(dx_w2_hat, dx_w2_hat)))
         p0 = np.zeros_like(v[2])
         p0[0, :, :] = v[2][0, :, :]
         p0_v3_h1 = state.h1_norm(p0)
@@ -484,7 +501,7 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
 
 def save_checkpoint(state: SpectralField3D, path) -> None:
     """Columnar restart file: every DNSConfig field, the time, and the
-    coefficient array (3, nx, ny, nz) as complex128."""
+    half-spectrum coefficient array (3, nx, ny, nz//2+1) as complex128."""
     cfg = state.config
     np.savez(path, vhat=state.vhat, t=state.t,
              **{f.name: getattr(cfg, f.name) for f in fields(DNSConfig)})
@@ -492,11 +509,20 @@ def save_checkpoint(state: SpectralField3D, path) -> None:
 
 def load_checkpoint(path) -> SpectralField3D:
     """Restart state; a config field the file lacks (older files store no
-    nonlinear, background, cfl or filter_fraction) takes its default."""
+    nonlinear, background, cfl or filter_fraction) takes its default. A
+    full-spectrum vhat (last axis nz, written before the half layout) is
+    cut to its kz >= 0 half."""
     with np.load(path) as data:
         kw = {f.name: data[f.name].item() for f in fields(DNSConfig)
               if f.name != "n" and f.name in data.files}
         state = SpectralField3D(DNSConfig(n=tuple(int(m) for m in data["n"]), **kw))
-        state.vhat = data["vhat"]
+        vhat = data["vhat"]
+        full = (3,) + state.shape
+        if vhat.shape == full:
+            vhat = vhat[..., : state.vhat.shape[-1]].copy()
+        if vhat.shape != state.vhat.shape:
+            raise ValueError(f"checkpoint vhat has shape {vhat.shape}; expected "
+                             f"{state.vhat.shape} or the full-spectrum {full}")
+        state.vhat = vhat
         state.t = float(data["t"])
     return state

@@ -248,17 +248,23 @@ class OperatorMatrix:
         return OperatorMatrix(self.kind, self.n, diags, dict(self.meta))
 
     def restricted(self, keep: np.ndarray) -> "OperatorMatrix":
-        """Restrict to the index subset `keep` (boolean mask)."""
+        """Restrict to the index subset `keep` (boolean mask). Dropping
+        rows and columns never widens the band."""
         a = self.dense()[np.ix_(keep, keep)]
-        return OperatorMatrix.from_dense(a, self.kind, dict(self.meta))
+        return OperatorMatrix.from_dense(a, self.kind, dict(self.meta),
+                                         bandwidth=self.bandwidth)
 
     @classmethod
     def from_dense(cls, a: np.ndarray, kind: str = "Generic",
-                   meta: dict | None = None) -> "OperatorMatrix":
+                   meta: dict | None = None,
+                   bandwidth: int | None = None) -> "OperatorMatrix":
+        """Diagonals of `a`; a caller that knows `a` has no entry beyond
+        offset `bandwidth` passes it to skip scanning the rest."""
         a = np.asarray(a, dtype=complex)
         m = a.shape[0]
+        bw = m - 1 if bandwidth is None else min(bandwidth, m - 1)
         diags = {}
-        for k in range(-(m - 1), m):
+        for k in range(-bw, bw + 1):
             v = np.diagonal(a, offset=k)
             if np.any(v != 0) or k == 0:
                 diags[k] = np.ascontiguousarray(v)

@@ -22,6 +22,7 @@ from kolmoflow.cli import (
     run_subcommand,
     write_report,
 )
+from kolmoflow.spectral import write_csv_table
 
 MINIMAL_PSI = """
 # minimal psi configuration
@@ -154,6 +155,15 @@ class TestEndToEnd:
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         csv_path = tmp_path / "o" / "psi_scan.csv"
         assert main(["check-report", "--report", str(csv_path)]) == EXIT_OK
+
+    def test_check_report_csv_reports_no_verdict(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        envelope = 'envelope: {"config": {"subcommand": "psi"}, "version": "0.1.0"}'
+        write_csv_table(csv_path, ["lam", "sigma_min"], [(0.0, 1.0)], [envelope])
+        assert check_report(csv_path)["summary"]["passed"] is None
+        capsys.readouterr()
+        assert main(["check-report", "--report", str(csv_path)]) == EXIT_OK
+        assert "passed=n/a (CSV tables carry no verdict)" in capsys.readouterr().out
 
     def test_evolve_subcommand_and_threshold_parallel(self, tmp_path):
         cfgfile = tmp_path / "evolve.cfg"

@@ -15,6 +15,7 @@ from kolmoflow.dns import (
     init_perturbation,
     liftup_profile_residual,
     load_checkpoint,
+    nonlinear_rhs,
     run_simulation,
     run_threshold_sweep,
     save_checkpoint,
@@ -82,6 +83,57 @@ class TestInit:
         assert np.array_equal(a.vhat, b.vhat)
 
 
+def hermitian_extension(half, nz):
+    """Full fftn layout (..., nz) of a half spectrum: c_{-k} = conj(c_k)."""
+    nx, ny = half.shape[-3:-1]
+    mirror = np.conj(half[..., (-np.arange(nx)) % nx, :, :][..., (-np.arange(ny)) % ny, :])
+    return np.concatenate([half, mirror[..., nz // 2 - 1:0:-1]], axis=-1)
+
+
+def rotation_form_full(st, vfull):
+    """Oracle: omega x V on the full fftn spectrum, 2/3-masked."""
+    nx, ny, nz = st.config.n
+    ix, iy, iz = np.meshgrid(*(np.fft.fftfreq(m, 1.0 / m) for m in (nx, ny, nz)),
+                             indexing="ij")
+    k = np.stack([ix, st.config.k_f * iy, iz])
+    mask = (np.abs(ix) <= nx / 3.0) & (np.abs(iy) <= ny / 3.0) & (np.abs(iz) <= nz / 3.0)
+    v = vfull * mask
+    omega = 1j * np.cross(k, v, axis=0)
+    phys = lambda c: np.fft.ifftn(c, axes=(1, 2, 3)).real * (nx * ny * nz)
+    prod = np.cross(phys(omega), phys(v), axis=0)
+    return np.fft.fftn(prod, axes=(1, 2, 3)) / (nx * ny * nz) * mask
+
+
+class TestTransforms:
+    def test_nonlinear_rhs_matches_full_spectrum_oracle(self):
+        cfg = base_config(n=(16, 12, 10))
+        st = SpectralField3D(cfg)
+        rng = np.random.default_rng(11)
+        half = st.to_spectral(rng.standard_normal((3,) + cfg.n))  # Hermitian by construction
+        want = rotation_form_full(st, hermitian_extension(half, cfg.n[2]))
+        got = nonlinear_rhs(st, half)
+        assert np.max(np.abs(got - want[..., : cfg.n[2] // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
+
+    def test_hermitian_defect_checks_self_conjugate_planes(self):
+        st = init_perturbation(base_config(seed=7))
+        assert st.hermitian_defect() <= 1e-12
+        top = np.max(np.abs(st.vhat))
+        for iz in (0, st.config.n[2] // 2):
+            bad = init_perturbation(base_config(seed=7))
+            bad.vhat[0, 1, 2, iz] += 1e-3 * top
+            assert bad.hermitian_defect() >= 1e-4
+
+    def test_inner_is_full_spectrum_parseval(self):
+        cfg = base_config(n=(8, 6, 10))
+        st = SpectralField3D(cfg)
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 3) + cfg.n)
+        vol_mean = st.vol / a[0].size
+        want = vol_mean * np.sum(a * b)
+        got = st.inner(st.to_spectral(a), st.to_spectral(b))
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 class TestStep:
     def test_zero_is_fixed_point(self):
         st = init_perturbation(base_config(epsilon=0.0, dt=0.02))
@@ -101,9 +153,9 @@ class TestStep:
         st = init_perturbation(cfg)
         st.vhat[:] = 0.0
         amp = 1e-3 / np.sqrt(2.0)
-        for sgn in (1, -1):
-            st.vhat[0, sgn, 0, sgn] = amp
-            st.vhat[2, sgn, 0, sgn] = -amp
+        # k = (1, 0, 1); its (-1, 0, -1) partner is the implied conjugate
+        st.vhat[0, 1, 0, 1] = amp
+        st.vhat[2, 1, 0, 1] = -amp
         for _ in range(100):
             step_imex(st)
         want = amp * np.exp(-cfg.nu * 2.0 * st.t)
@@ -117,7 +169,7 @@ class TestStep:
             visc = -cfg.nu * st.grad_norm_sq()
             cosv2 = (_shift_ky(st.vhat[1], 1) + _shift_ky(st.vhat[1], -1)) / 2.0
             lift = cfg.gamma / (cfg.nu * cfg.k_f)
-            cross = -lift * st.vol * np.sum(cosv2 * np.conj(st.vhat[0])).real
+            cross = -lift * st.inner(cosv2, st.vhat[0])
             return visc + cross
 
         errs = []
@@ -139,11 +191,11 @@ class TestStep:
         for _ in range(5):
             step_imex(st)
         rhs = explicit_rhs(st, st.vhat) - cfg.nu * st.k2 * st.vhat
-        dedt = st.vol * np.sum(rhs * np.conj(st.vhat)).real
+        dedt = st.inner(rhs, st.vhat)
         visc = -cfg.nu * st.grad_norm_sq()
         cosv2 = (_shift_ky(st.vhat[1], 1) + _shift_ky(st.vhat[1], -1)) / 2.0
         lift = cfg.gamma / (cfg.nu * cfg.k_f)
-        cross = -lift * st.vol * np.sum(cosv2 * np.conj(st.vhat[0])).real
+        cross = -lift * st.inner(cosv2, st.vhat[0])
         assert dedt == pytest.approx(visc + cross, rel=1e-10)
 
     def test_blowup_detection(self):
@@ -245,6 +297,28 @@ class TestRuns:
         step_imex(back)
         step_imex(st)
         assert np.allclose(back.vhat, st.vhat, rtol=0, atol=0)
+
+    def test_checkpoint_in_full_spectrum_layout_loads(self, tmp_path):
+        cfg = base_config(epsilon=1e-2, seed=3, dt=0.02)
+        st = init_perturbation(cfg)
+        for _ in range(3):
+            step_imex(st)
+        half = st.vhat
+        st.vhat = hermitian_extension(half, cfg.n[2])  # the layout before rfftn
+        save_checkpoint(st, tmp_path / "full.npz")
+        st.vhat = half
+        back = load_checkpoint(tmp_path / "full.npz")
+        assert np.array_equal(back.vhat, st.vhat)
+        step_imex(back)
+        step_imex(st)
+        assert np.array_equal(back.vhat, st.vhat)
+
+    def test_checkpoint_with_wrong_shape_is_refused(self, tmp_path):
+        st = init_perturbation(base_config(seed=3))
+        st.vhat = st.vhat[..., :-1]
+        save_checkpoint(st, tmp_path / "bad.npz")
+        with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(tmp_path / "bad.npz")
 
     def test_checkpoint_keeps_linear_no_background_config(self, tmp_path):
         cfg = base_config(epsilon=1e-2, seed=5, dt=0.02, nonlinear=False,

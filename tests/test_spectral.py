@@ -382,6 +382,18 @@ def test_operator_matrix_restriction_keeps_band():
     assert np.allclose(sub.dense(), dense[np.ix_(keep, keep)])
 
 
+def test_operator_matrix_restriction_matches_dense_round_trip():
+    p = params_for()
+    grid = build_grid(64, p)
+    op, _ = assemble_mode_operators(p, grid)
+    op = op.shifted(0.4)
+    for keep in (StarMetric.for_alpha1(grid).keep, RNG.random(64) < 0.6):
+        want = OperatorMatrix.from_dense(op.dense()[np.ix_(keep, keep)])
+        got = op.restricted(keep)
+        assert list(got.diags) == list(want.diags)
+        assert all(np.array_equal(got.diags[k], want.diags[k]) for k in want.diags)
+
+
 def test_operator_matrix_block_matvec_and_adjoint():
     p = params_for(k_f=0.5, k1=1, k3=1)
     grid = build_grid(32, p)
