@@ -251,6 +251,7 @@ def criterion_wave_operator() -> dict:
     rng = np.random.default_rng(9)
     residuals = {}
     fit_out = None
+    wv.get_wave_operator(p.alpha, 256)   # the n = 128 level is cut from it
     for n in (128, 256):
         grid = build_grid(n, p)
         sel = np.abs(grid.wavenumbers) <= 4

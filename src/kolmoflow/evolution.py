@@ -30,7 +30,7 @@ from .spectral import (
     build_grid,
     multiplication_matrix,
 )
-from .pseudospectra import PsiResult
+from .pseudospectra import PsiResult, _golden_refine
 
 DECAY_FLOOR = 1e-13
 TWO_PI_NORM_ONE = 2.0 * np.pi  # <1,1> on the torus
@@ -372,23 +372,8 @@ def fit_decay_rate(traj: Trajectory, channel: str = "f", prefactor: bool = False
         log_c = np.mean(yy - model)
         return float(np.sqrt(np.mean((model + log_c - yy) ** 2))), log_c
 
-    lo, hi = 0.0, 10.0 * max(1e-12, -np.polyfit(tt, yy, 1)[0])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = residual_for(c)[0], residual_for(d)[0]
-    for _ in range(200):
-        if hi - lo <= 1e-10 * max(hi, 1.0):
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = residual_for(c)[0]
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = residual_for(d)[0]
-    a = c if fc < fd else d
+    hi = 10.0 * max(1e-12, -np.polyfit(tt, yy, 1)[0])
+    a, _, _ = _golden_refine(lambda a: residual_for(a)[0], 0.0, hi, 1e-10, max_iter=200)
     resid, log_c = residual_for(a)
     return DecayFit(rate=float(a), window=(float(tt[0]), float(tt[-1])),
                     residual=resid, prefactor=True, amplitude=float(np.exp(log_c)))

@@ -56,19 +56,17 @@ class RayleighProfile:
     dphi1_0: float
     phi1_pi: float
     dphi1_pi: float
-    dense_left: object | None = None
-    dense_right: object | None = None
+    dense_left: object
+    dense_right: object
 
     def value_at(self, y: float) -> float:
         """phi1 at an arbitrary point (series near y_c, dense ODE solution
-        elsewhere); requires the dense handles."""
+        elsewhere)."""
         s = y - self.y_c
         eps = min(SERIES_RADIUS, 0.45 * min(self.y_c, np.pi - self.y_c))
         if abs(s) <= eps:
             return float(_series_eval(self.alpha, self.y_c, s)[0])
         sol = self.dense_right if s > 0 else self.dense_left
-        if sol is None:
-            raise ConfigurationError("dense profile handles were not kept")
         return float(sol(y)[0])
 
     def check_invariants(self, tol: float = 1e-8) -> None:
@@ -108,8 +106,7 @@ def _series_eval(alpha: float, y_c: float, s):
 
 
 def solve_phi1(c: float, alpha: float, y_half: np.ndarray,
-               rtol: float = 1e-11, keep_dense: bool = True,
-               method: str = "DOP853") -> RayleighProfile:
+               rtol: float = 1e-11, method: str = "DOP853") -> RayleighProfile:
     """Solve the profile ODE outward from y_c in both directions.
 
     Integrates the quasi-derivative system (phi1, w) with w = (u-c)^2 phi1',
@@ -159,8 +156,7 @@ def solve_phi1(c: float, alpha: float, y_half: np.ndarray,
         c=c, y_c=y_c, alpha=alpha, y=y_half, phi1=phi1, dphi1=dphi1,
         phi1_0=float(end_l[0]), dphi1_0=float(end_l[1] / (u_of(0.0) - c) ** 2),
         phi1_pi=float(end_r[0]), dphi1_pi=float(end_r[1] / (u_of(np.pi) - c) ** 2),
-        dense_left=sols[-1].sol if keep_dense else None,
-        dense_right=sols[+1].sol if keep_dense else None,
+        dense_left=sols[-1].sol, dense_right=sols[+1].sol,
     )
     prof.check_invariants()
     return prof
@@ -199,16 +195,6 @@ def compute_coefficients(prof: RayleighProfile) -> WaveOpCoefficients:
         if abs(s) < 1e-7:
             return -alpha**2 / (3.0 * np.sin(y_c) ** 2)
         return (1.0 / phi**2 - 1.0) / q**2
-
-    if prof.dense_left is None or prof.dense_right is None:
-        spline = CubicSpline(prof.y, (1.0 / prof.phi1**2 - 1.0))
-        i_c = np.argmin(np.abs(prof.y - y_c))
-
-        def integrand(y):  # noqa: F811 - cached-profile fallback
-            s = y - y_c
-            if abs(s) < 1e-7:
-                return -alpha**2 / (3.0 * np.sin(y_c) ** 2)
-            return spline(y) / (u_of(y) - c) ** 2
 
     ii, err = quad(integrand, 0.0, np.pi, points=[y_c], limit=200)
     if not np.isfinite(ii) or err > 1e-6 * max(abs(ii), 1.0):
@@ -270,7 +256,15 @@ class WaveOperator:
             w[i] = wi * self.h
             w[-1 - i] = wi * self.h
         self._trap_w = w
-        self._u_half = u_of(self.y_half)
+        # grid-only factors of the II_1 integrands: one row per c-node
+        k = self.valid_half_idx
+        self._diag = (np.arange(len(k)), k)
+        self._sin_c = np.sin(self.y_c)
+        u = u_of(self.y_half)
+        q = u - u[k, None]
+        self._q2 = q**2
+        self._sin_q = self._sin_c[:, None] * q
+        self._phi1_sq = phi1_table**2
 
     # -- grid plumbing ------------------------------------------------------
     def half_values(self, omega_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,51 +278,61 @@ class WaveOperator:
         return 0.5 * (pos - neg), 0.5 * (pos + neg)
 
     def _cumint(self, vals: np.ndarray) -> np.ndarray:
-        """4th-order cumulative integral from y=0 along the half grid.
+        """4th-order cumulative integral from y=0 along the half grid, taken
+        along the last axis (one profile or a stack of rows).
 
         Gregory end-corrected cumulative trapezoid; the first two prefixes
-        use the matching-order Adams-Moulton and Simpson rules.
+        use the matching-order Adams-Moulton and Simpson rules. The in-place
+        steps keep each element's operation order, and so its rounding.
         """
         h = self.h
         f = vals
-        out = np.zeros_like(vals)
-        trap = np.zeros_like(vals)
-        trap[1:] = np.cumsum(0.5 * h * (f[1:] + f[:-1]))
-        d_f0 = f[1] - f[0]
-        d2_f0 = f[2] - 2 * f[1] + f[0]
-        out[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-        out[2] = (h / 3.0) * (f[0] + 4.0 * f[1] + f[2])
-        k = np.arange(3, len(f))
-        grad_k = f[k] - f[k - 1]
-        grad2_k = f[k] - 2 * f[k - 1] + f[k - 2]
-        out[k] = trap[k] - (h / 12.0) * (grad_k - d_f0) - (h / 24.0) * (grad2_k + d2_f0)
+        out = np.empty_like(vals)
+        out[..., 0] = 0.0
+        out[..., 1] = (h / 24.0) * (9.0 * f[..., 0] + 19.0 * f[..., 1]
+                                    - 5.0 * f[..., 2] + f[..., 3])
+        out[..., 2] = (h / 3.0) * (f[..., 0] + 4.0 * f[..., 1] + f[..., 2])
+        trap = f[..., 1:] + f[..., :-1]
+        trap *= 0.5 * h
+        np.cumsum(trap, axis=-1, out=trap)
+        grad = np.subtract(f[..., 3:], f[..., 2:-1], out=out[..., 3:])
+        grad -= (f[..., 1] - f[..., 0])[..., None]
+        grad *= h / 12.0
+        np.subtract(trap[..., 2:], grad, out=grad)
+        grad2 = 2 * f[..., 2:-1]
+        np.subtract(f[..., 3:], grad2, out=grad2)
+        grad2 += f[..., 1:-2]
+        grad2 += (f[..., 2] - 2 * f[..., 1] + f[..., 0])[..., None]
+        grad2 *= h / 24.0
+        out[..., 3:] -= grad2
         return out
 
-    def _ii1(self, phi: np.ndarray, dphi: np.ndarray, k: int, row: int
-             ) -> tuple[complex, np.ndarray]:
-        """II_1 = II_{1,1} + L_0 at the c-grid node k (row indexes the tables).
+    def _ii1(self, phi: np.ndarray, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """II_1 = II_{1,1} + L_0 at every c-grid node, and the rows of g1.
 
-        II_{1,1} carries the principal value: the 1/(u-c) pole is subtracted
-        analytically (its p.v. integral vanishes), the remainder is regular
-        with limit value (phi'(y_c) - phi(y_c) u''/u') / (2 u'(y_c)^2).
+        Row i of the (nodes, m+1) integrand arrays belongs to the node
+        valid_half_idx[i]. II_{1,1} carries the principal value: the 1/(u-c)
+        pole is subtracted analytically (its p.v. integral vanishes), the
+        remainder is regular with limit value
+        (phi'(y_c) - phi(y_c) u''/u') / (2 u'(y_c)^2).
         """
-        y_c = self.y_half[k]
-        c = self._u_half[k]
-        up, upp = np.sin(y_c), np.cos(y_c)
-        phi1 = self.phi1_table[row]
-        q = self._u_half - c
+        k = self.valid_half_idx
+        up, upp = self._sin_c, np.cos(self.y_c)
         cum0 = self._cumint(phi)
-        g0 = cum0 - cum0[k]
-        cum1 = self._cumint(phi * phi1)
-        g1 = cum1 - cum1[k]
+        g0 = cum0 - cum0[k, None]
+        g1 = self._cumint(phi * self.phi1_table)
+        g1 -= g1[self._diag][:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = g0 / q**2 - phi[k] / (up * q)
-            t = (g1 / phi1**2 - g0) / q**2
-        r[k] = (dphi[k] - phi[k] * upp / up) / (2.0 * up**2)
-        t[k] = 0.0
-        ii11 = np.sum(self._trap_w * r)
-        l0 = np.sum(self._trap_w * t)
-        return ii11 + l0, g1
+            r = g0 / self._q2
+            r -= phi[k, None] / self._sin_q
+            t = g1 / self._phi1_sq
+            t -= g0
+            t /= self._q2
+        r[self._diag] = (dphi[k] - phi[k] * upp / up) / (2.0 * up**2)
+        t[self._diag] = 0.0
+        r *= self._trap_w
+        t *= self._trap_w
+        return np.sum(r, axis=1) + np.sum(t, axis=1), g1
 
     def apply_D1(self, omega_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """D1(omega) on the full-period grid; returns (values, valid_mask).
@@ -342,28 +346,22 @@ class WaveOperator:
         odd, even = self.half_values(omega_full)
         dodd = np.gradient(odd, self.h)
         deven = np.gradient(even, self.h)
+        k = self.valid_half_idx
+        up = self._sin_c
+        cf = self.coeff
+        rho = cf["rho"]
+        ii1_o, _ = self._ii1(odd, dodd)
+        d1_odd = (rho * ii1_o - 1j * np.pi * odd[k]) / (cf["a"] + 1j * cf["b"])
+        ii1_e, g1_e = self._ii1(even, deven)
+        denom_e = up * (cf["a1"] + 1j * cf["b1"])
+        d1_even = (rho * up * (rho * ii1_e - 1j * np.pi * even[k])
+                   + cf["j1"] * g1_e[:, 0] - cf["j0"] * g1_e[:, -1]) / denom_e
         m = self.n // 2
         out = np.zeros(self.n, dtype=complex)
         mask = np.zeros(self.n, dtype=bool)
-        cf = self.coeff
-        for row, k in enumerate(self.valid_half_idx):
-            y_c = self.y_half[k]
-            up = np.sin(y_c)
-            rho = cf["rho"][row]
-            denom_o = cf["a"][row] + 1j * cf["b"][row]
-            ii1_o, _ = self._ii1(odd, dodd, k, row)
-            d1_odd = (rho * ii1_o - 1j * np.pi * odd[k]) / denom_o
-            ii1_e, g1_e = self._ii1(even, deven, k, row)
-            e0 = g1_e[0]
-            e1 = g1_e[-1]
-            denom_e = up * (cf["a1"][row] + 1j * cf["b1"][row])
-            d1_even = (rho * up * (rho * ii1_e - 1j * np.pi * even[k])
-                       + cf["j1"][row] * e0 - cf["j0"][row] * e1) / denom_e
-            jp = (m + k) % self.n       # full index of +y_c
-            jm = (m - k) % self.n       # full index of -y_c
-            out[jp] = d1_odd + d1_even
-            out[jm] = -d1_odd + d1_even
-            mask[jp] = mask[jm] = True
+        out[m + k] = d1_odd + d1_even        # +y_c
+        out[m - k] = -d1_odd + d1_even       # -y_c
+        mask[m + k] = mask[m - k] = True
         return out, mask
 
     def apply_D2(self, omega_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,10 +376,34 @@ _OPERATOR_CACHE: dict[tuple, WaveOperator] = {}
 
 
 def get_wave_operator(alpha: float, n: int, margin: float = ENDPOINT_MARGIN) -> WaveOperator:
+    """The cached operator for (alpha, n, margin), built on first use.
+
+    A coarse level is cut from a cached finer operator of the same alpha and
+    margin whose n is a power-of-two multiple of the requested one, instead
+    of being solved again. The result is bit-identical to a cold build: the
+    profiles and coefficients depend only on c and alpha, the dense ODE
+    output is evaluated point by point, and the coarse grid points are
+    exactly every r-th fine grid point.
+    """
     key = (round(float(alpha), 12), int(n), round(float(margin), 12))
     if key not in _OPERATOR_CACHE:
-        _OPERATOR_CACHE[key] = WaveOperator(alpha, n, margin)
+        fine = min((op for (a, nf, mg), op in _OPERATOR_CACHE.items()
+                    if (a, mg) == (key[0], key[2]) and nf > n and nf % n == 0
+                    and (nf // n) & (nf // n - 1) == 0),
+                   key=lambda op: op.n, default=None)
+        _OPERATOR_CACHE[key] = (WaveOperator(alpha, n, margin) if fine is None
+                                else _coarsen(fine, n))
     return _OPERATOR_CACHE[key]
+
+
+def _coarsen(fine: WaveOperator, n: int) -> WaveOperator:
+    """The level-n operator taken from the tables of a finer one."""
+    r = fine.n // n
+    op = WaveOperator(fine.alpha, n, fine.margin, _defer=True)
+    rows = np.searchsorted(fine.valid_half_idx, r * op.valid_half_idx)
+    op._install_tables(fine.phi1_table[rows][:, ::r],
+                       {k: v[rows] for k, v in fine.coeff.items()})
+    return op
 
 
 def apply_D2(omega: np.ndarray, alpha: float,
@@ -482,7 +504,11 @@ def intertwining_residual(omegas: dict, alpha: float, ns: list[int],
     T w = M_mult (1 + K) w, K = (d^2 - alpha^2)^(-1). `omegas` maps labels to
     callables y -> values. Pass iff both residual families decrease
     monotonically across `ns` and the finest level is <= 1e-3.
+
+    The finest level is built first, so that `get_wave_operator` can cut the
+    coarser levels whose n divides it by a power of two from its table.
     """
+    get_wave_operator(alpha, max(ns), margin)
     rows = []
     for n in ns:
         op = get_wave_operator(alpha, n, margin)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kolmoflow import waveop
 from kolmoflow.spectral import ConfigurationError, ModeParams, build_grid
 from kolmoflow.waveop import (
     WaveOperator,
@@ -18,6 +19,7 @@ from kolmoflow.waveop import (
     random_smooth_profile,
     save_profile_table,
     solve_phi1,
+    u_of,
 )
 
 Y_HALF = np.linspace(0.0, np.pi, 129)
@@ -141,6 +143,136 @@ class TestWaveOperatorBasics:
         b, m2 = back.apply_D2(w)
         assert np.array_equal(m1, m2)
         assert np.allclose(a[m1], b[m1], rtol=0, atol=0)
+
+
+# -- per-node reference for apply_D1 ------------------------------------------
+
+def _loop_cumint(op, f):
+    h = op.h
+    out = np.zeros_like(f)
+    trap = np.zeros_like(f)
+    trap[1:] = np.cumsum(0.5 * h * (f[1:] + f[:-1]))
+    d_f0 = f[1] - f[0]
+    d2_f0 = f[2] - 2 * f[1] + f[0]
+    out[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
+    out[2] = (h / 3.0) * (f[0] + 4.0 * f[1] + f[2])
+    k = np.arange(3, len(f))
+    grad_k = f[k] - f[k - 1]
+    grad2_k = f[k] - 2 * f[k - 1] + f[k - 2]
+    out[k] = trap[k] - (h / 12.0) * (grad_k - d_f0) - (h / 24.0) * (grad2_k + d2_f0)
+    return out
+
+
+def _loop_ii1(op, phi, dphi, k, row):
+    y_c = op.y_half[k]
+    u_half = u_of(op.y_half)
+    up, upp = np.sin(y_c), np.cos(y_c)
+    phi1 = op.phi1_table[row]
+    q = u_half - u_half[k]
+    cum0 = _loop_cumint(op, phi)
+    g0 = cum0 - cum0[k]
+    cum1 = _loop_cumint(op, phi * phi1)
+    g1 = cum1 - cum1[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = g0 / q**2 - phi[k] / (up * q)
+        t = (g1 / phi1**2 - g0) / q**2
+    r[k] = (dphi[k] - phi[k] * upp / up) / (2.0 * up**2)
+    t[k] = 0.0
+    return np.sum(op._trap_w * r) + np.sum(op._trap_w * t), g1
+
+
+def loop_apply_D1(op, omega_full):
+    """apply_D1 one c-node at a time, as the formulas are written."""
+    odd, even = op.half_values(np.asarray(omega_full, dtype=complex))
+    dodd = np.gradient(odd, op.h)
+    deven = np.gradient(even, op.h)
+    m = op.n // 2
+    out = np.zeros(op.n, dtype=complex)
+    mask = np.zeros(op.n, dtype=bool)
+    cf = op.coeff
+    for row, k in enumerate(op.valid_half_idx):
+        up = np.sin(op.y_half[k])
+        rho = cf["rho"][row]
+        ii1_o, _ = _loop_ii1(op, odd, dodd, k, row)
+        d1_odd = (rho * ii1_o - 1j * np.pi * odd[k]) / (cf["a"][row] + 1j * cf["b"][row])
+        ii1_e, g1_e = _loop_ii1(op, even, deven, k, row)
+        denom_e = up * (cf["a1"][row] + 1j * cf["b1"][row])
+        d1_even = (rho * up * (rho * ii1_e - 1j * np.pi * even[k])
+                   + cf["j1"][row] * g1_e[0] - cf["j0"][row] * g1_e[-1]) / denom_e
+        out[m + k] = d1_odd + d1_even
+        out[m - k] = -d1_odd + d1_even
+        mask[m + k] = mask[m - k] = True
+    return out, mask
+
+
+def loop_apply_D2(op, omega_full):
+    q = op.n // 4
+    vals, mask = loop_apply_D1(op, np.roll(np.asarray(omega_full, dtype=complex), -q))
+    return np.roll(vals, q), np.roll(mask, q)
+
+
+class TestBatchedApply:
+    """The batched apply_D1/apply_D2 reproduce the per-node loop bit for bit."""
+
+    @staticmethod
+    def _assert_matches_loop(op, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            w = random_smooth_profile(op.n, rng)
+            for new, old in ((op.apply_D1, loop_apply_D1), (op.apply_D2, loop_apply_D2)):
+                vals, mask = new(w)
+                ref_vals, ref_mask = old(op, w)
+                assert np.array_equal(mask, ref_mask)
+                assert np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("alpha, n, margin", [(2.0, 64, waveop.ENDPOINT_MARGIN),
+                                                  (16.0, 64, waveop.ENDPOINT_MARGIN),
+                                                  (2.0, 128, 0.1)])
+    def test_matches_per_node_loop(self, alpha, n, margin):
+        self._assert_matches_loop(get_wave_operator(alpha, n, margin), seed=n)
+
+    def test_loaded_table_matches_per_node_loop(self, tmp_path):
+        path = tmp_path / "table.npz"
+        save_profile_table(get_wave_operator(2.0, 64), path)
+        self._assert_matches_loop(load_wave_operator(path), seed=5)
+
+
+class TestCoarseLevels:
+    """get_wave_operator cuts coarse levels from a finer cached table."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        monkeypatch.setattr(waveop, "_OPERATOR_CACHE", {})
+        calls = []
+        real = waveop.solve_phi1
+
+        def counting(*args, **kw):
+            calls.append(args[0])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(waveop, "solve_phi1", counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha, n_fine", [(2.0, 128), (2.0 * np.sqrt(2.0), 256)])
+    def test_cut_level_equals_cold_build(self, solves, alpha, n_fine):
+        get_wave_operator(alpha, n_fine)
+        cold = WaveOperator(alpha, 64)
+        solves.clear()
+        cut = get_wave_operator(alpha, 64)
+        assert solves == []
+        assert np.array_equal(cut.valid_half_idx, cold.valid_half_idx)
+        assert np.array_equal(cut.y_c, cold.y_c)
+        assert np.array_equal(cut.phi1_table, cold.phi1_table)
+        assert cut.coeff.keys() == cold.coeff.keys()
+        for name, column in cold.coeff.items():
+            assert np.array_equal(cut.coeff[name], column), name
+
+    @pytest.mark.parametrize("n_fine, margin", [(192, waveop.ENDPOINT_MARGIN), (128, 0.1)])
+    def test_other_ratio_or_margin_builds_cold(self, solves, n_fine, margin):
+        get_wave_operator(2.0, n_fine, margin)
+        solves.clear()
+        op = get_wave_operator(2.0, 64)
+        assert len(solves) == len(op.y_c) > 0
 
 
 class TestIntertwining:
