@@ -11,7 +11,8 @@ not converged after ITER_MAX iterations (the bottom singular values cluster
 when |lambda| > 1), a warning is issued and sigma_min is taken as the
 eigenvalue of the banded Hermitian Jordan-Wielandt matrix [[0, M], [M^*, 0]]
 that sits at index n. Both banded paths cost O(n) memory, and the worst case
-is one capped iteration plus one banded eigensolve.
+is one capped iteration plus one banded eigensolve. Callers that pass a
+SigmaCounts get the number of calls and of fallbacks as plain counts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ class PsiQuery:
 
 
 @dataclass
+class SigmaCounts:
+    """smallest_singular_value calls, and those of them that stalled and fell
+    back to the Jordan-Wielandt eigensolve."""
+
+    evals: int = 0
+    fallbacks: int = 0
+
+
+@dataclass
 class PsiResult:
     psi: float
     lam_star: float
@@ -69,6 +79,8 @@ class PsiResult:
     converged: bool
     scan_error: float  # Lipschitz bound on psi - inf over the interval
     flags: list[str] = field(default_factory=list)
+    sigma_evals: int = 0
+    sigma_fallbacks: int = 0
 
     def as_record(self) -> dict:
         return {
@@ -77,6 +89,8 @@ class PsiResult:
             "converged": self.converged,
             "scan_error": self.scan_error,
             "flags": list(self.flags),
+            "sigma_evals": self.sigma_evals,
+            "sigma_fallbacks": self.sigma_fallbacks,
         }
 
 
@@ -206,13 +220,17 @@ def _sigma_min_jordan_wielandt(op: OperatorMatrix) -> float:
 
 def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
                             metric: StarMetric | None = None,
-                            method: str = "auto") -> float:
+                            method: str = "auto", *,
+                            counts: SigmaCounts | None = None) -> float:
     """sigma_min of (A - i*lam) in the given metric.
 
     With a metric W this is sigma_min(W^(1/2) (A - i*lam) W^(-1/2)); the
     similarity is exact because W is diagonal. `method` is one of
-    "auto" | "dense" | "banded".
+    "auto" | "dense" | "banded". A stall of the banded iteration warns and,
+    if `counts` is given, is tallied there with every call.
     """
+    if counts is not None:
+        counts.evals += 1
     shifted = op.shifted(lam)
     if metric is not None:
         if metric.keep is not None:
@@ -225,6 +243,8 @@ def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
         return sigma
     warnings.warn(f"banded sigma_min did not converge in {ITER_MAX} iterations; "
                   "falling back to dense-accuracy Jordan-Wielandt eigensolve")
+    if counts is not None:
+        counts.fallbacks += 1
     return _sigma_min_jordan_wielandt(shifted)
 
 
@@ -276,20 +296,54 @@ def default_psi_query(params: ModeParams, margin: float = 0.5, **kw) -> PsiQuery
 def compute_psi(op: OperatorMatrix, query: PsiQuery,
                 metric: StarMetric | None = None,
                 extra_lams: np.ndarray | None = None) -> PsiResult:
-    """Coarse scan + golden-section refinement of all interior local minima."""
+    """Coarse scan + golden-section refinement of all interior local minima.
+
+    The metric is applied once per scan (restriction to `metric.keep`, then
+    the similarity W^(1/2) A W^(-1/2)) and each point only shifts the
+    result; the shift commutes with both, so this is exact up to rounding.
+
+    If the transformed operator M is real, sigma_min is even in lam:
+    conj(M - i*lam) = M + i*lam has the same singular values. Each distinct
+    |lam| is then evaluated once, at +|lam|. On a symmetric interval
+    (lam_lo == -lam_hi) the coarse grid is made exactly odd, so mirrored
+    points share one SVD and `sigma_grid` equals its reverse; refining the
+    mirror of a refined minimum visits the mirrored points and makes no new
+    SVD. `lam_star` is reported as -|lam|, the first point of its mirrored
+    pair, so lam_star <= 0. Any other operator is evaluated once per
+    distinct lam. `sigma_evals` counts the SVDs of the scan and
+    `sigma_fallbacks` those that fell back to the Jordan-Wielandt eigensolve.
+    """
     if query.metric == "star" and metric is None:
         raise ConfigurationError("star metric requested but none supplied")
     if query.metric == "euclidean":
         metric = None
+    a = op
+    if metric is not None:
+        if metric.keep is not None:
+            a = a.restricted(metric.keep)
+        a = a.scaled_similarity(metric.sqrt_weights())
+    even = not any(np.any(v.imag) for v in a.diags.values())
+    counts = SigmaCounts()
+    memo: dict[float, float] = {}
+
+    def sigma(lam: float) -> float:
+        key = abs(float(lam)) if even else float(lam)
+        if key not in memo:
+            memo[key] = smallest_singular_value(a, key, counts=counts)
+        return memo[key]
+
     flags: list[str] = []
+    symmetric = query.lam_lo == -query.lam_hi
     lam_grid = np.linspace(query.lam_lo, query.lam_hi, query.scan_count)
+    if symmetric:
+        lam_grid = (lam_grid - lam_grid[::-1]) / 2.0
     if extra_lams is not None and len(extra_lams):
         lam_grid = np.unique(np.concatenate([lam_grid, np.asarray(extra_lams, float)]))
-    sig = np.array([smallest_singular_value(op, lam, metric) for lam in lam_grid])
+    sig = np.array([sigma(lam) for lam in lam_grid])
 
     # sanity: sigma_min never exceeds the smallest column norm
     for i in range(0, len(lam_grid), max(1, len(lam_grid) // 8)):
-        bound = _column_norm_bound(op, lam_grid[i])
+        bound = _column_norm_bound(a, lam_grid[i])
         if sig[i] > bound * (1 + 1e-8):
             flags.append(f"column-bound violation at lam={lam_grid[i]:.6g}")
 
@@ -301,12 +355,14 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
             interior_min.append(i)
     width = h
     for i in interior_min:
-        lam, s, width_i = _golden_refine(
-            lambda x: smallest_singular_value(op, x, metric),
-            lam_grid[i - 1], lam_grid[i + 1], query.refine_rtol)
+        lam, s, width_i = _golden_refine(sigma, lam_grid[i - 1], lam_grid[i + 1],
+                                         query.refine_rtol)
         if s < best_sig:
             best_sig, best_lam = s, lam
             width = width_i
+    if even and symmetric:
+        # a tie in the golden search can end a refinement at lam > 0
+        best_lam = min(best_lam, -best_lam)
     boundary = np.argmin(sig) in (0, len(lam_grid) - 1)
     if boundary:
         flags.append("minimum at scan boundary; widen the interval")
@@ -318,6 +374,8 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
         converged=not boundary,
         scan_error=float(width),
         flags=flags,
+        sigma_evals=counts.evals,
+        sigma_fallbacks=counts.fallbacks,
     )
 
 
@@ -362,7 +420,9 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
     For each point computes r = sigma_min / (sqrt|alpha| * factor), factor
     being (1 - beta^(-2)) for the w-form nonlocal operator and 1 otherwise.
     C_hat is the smallest r over adequately resolved points; decade stability
-    is max/min of the per-alpha-decade lower envelopes.
+    is max/min of the per-alpha-decade lower envelopes. A row's `fallback`
+    says whether its sigma_min came from the Jordan-Wielandt eigensolve
+    after banded inverse iteration stalled.
     """
     if kind not in ("Nlambda", "Llambda", "Lu-form"):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
@@ -374,7 +434,7 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
         for alpha in alphas:
             if abs(alpha) < 100.0 * nu**2:
                 rows.append({"kind": kind, "nu": nu, "alpha": alpha,
-                             "flag": "regime", "ratio": np.nan})
+                             "flag": "regime", "ratio": np.nan, "fallback": False})
                 continue
             params = ModeParams(nu=nu, gamma=max(abs(alpha), 1.0), k_f=1.0, k1=1, k3=0)
             delta = abs(alpha) ** -0.25 * np.sqrt(nu)
@@ -395,12 +455,14 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
                         op = assemble_L_lambda(params, q, grid, alpha=alpha, beta=beta,
                                                u_form=True)
                         factor = 1.0
-                    sigma = smallest_singular_value(op)
+                    counts = SigmaCounts()
+                    sigma = smallest_singular_value(op, counts=counts)
                     row = {
                         "kind": kind, "nu": nu, "alpha": alpha, "lam": lam,
                         "beta": beta, "n": n, "sigma_min": sigma,
                         "ratio": sigma / (np.sqrt(abs(alpha)) * factor),
                         "flag": "inadequate" if inadequate else "",
+                        "fallback": counts.fallbacks > 0,
                     }
                     rows.append(row)
     good = [r for r in rows if r.get("flag") == ""]

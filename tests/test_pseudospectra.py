@@ -15,9 +15,12 @@ from kolmoflow.spectral import (
     assemble_N_lambda,
     build_grid,
 )
+import kolmoflow.pseudospectra as ps
 from kolmoflow.pseudospectra import (
     EmpiricalConstants,
     PsiQuery,
+    SigmaCounts,
+    _golden_refine,
     _sigma_min_jordan_wielandt,
     compute_psi,
     default_psi_query,
@@ -40,6 +43,55 @@ def n_lambda_cell(nu, alpha, n, lam):
 
 def dense_sigma_min(op):
     return np.linalg.svd(op.dense(), compute_uv=False)[-1]
+
+
+def mode_psi_case(which, n, scan_count=64):
+    """(operator, query, metric) of one psi_for_params case at n."""
+    p = (ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1) if which == "L" else
+         ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0))
+    grid = build_grid(n, p, alpha=p.k1 * p.gamma / p.k_f**4)
+    mode_l, mode_h = assemble_mode_operators(p, grid)
+    query = default_psi_query(p, scan_count=scan_count,
+                              metric="euclidean" if which == "H" else "star")
+    if which == "H":
+        return mode_h, query, None
+    if which == "L":
+        return mode_l, query, StarMetric.for_beta(p.beta, grid)
+    return mode_l, query, StarMetric.for_alpha1(grid)
+
+
+def full_grid_psi(op, query, metric=None):
+    """The Psi scan before it used evenness: the metric applied at every
+    point, every grid and refinement point its own SVD, every interior
+    minimum refined. Returns (psi, lam_star, width, lam_grid, sigma_grid)."""
+    lam_grid = np.linspace(query.lam_lo, query.lam_hi, query.scan_count)
+    sig = np.array([smallest_singular_value(op, lam, metric) for lam in lam_grid])
+    best_lam, best_sig = lam_grid[np.argmin(sig)], sig.min()
+    width = np.diff(lam_grid).max()
+    for i in range(1, len(lam_grid) - 1):
+        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
+            lam, s, width_i = _golden_refine(
+                lambda x: smallest_singular_value(op, x, metric),
+                lam_grid[i - 1], lam_grid[i + 1], query.refine_rtol)
+            if s < best_sig:
+                best_sig, best_lam = s, lam
+                width = width_i
+    return float(best_sig), float(best_lam), float(width), lam_grid, sig
+
+
+@pytest.fixture
+def sigma_calls(monkeypatch):
+    """(lam, sigma) of every smallest_singular_value call compute_psi makes."""
+    calls = []
+    inner = ps.smallest_singular_value
+
+    def recording(op, lam=0.0, *args, **kwargs):
+        sigma = inner(op, lam, *args, **kwargs)
+        calls.append((lam, sigma))
+        return sigma
+
+    monkeypatch.setattr(ps, "smallest_singular_value", recording)
+    return calls
 
 
 class TestSigmaMin:
@@ -73,11 +125,13 @@ class TestSigmaMin:
         # stalls at its cap and the banded eigensolve takes over
         op = n_lambda_cell(1e-3, 100.0, 1024, 1.5)
         dense = dense_sigma_min(op)
+        counts = SigmaCounts()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sigma = smallest_singular_value(op)
+            sigma = smallest_singular_value(op, counts=counts)
         fallbacks = [w for w in caught if "falling back to dense" in str(w.message)]
         assert len(fallbacks) == 1 and len(caught) == 1
+        assert counts == SigmaCounts(evals=1, fallbacks=1)
         assert abs(sigma - dense) / dense <= 1e-10
 
     def test_jordan_wielandt_star_metric_l_lambda(self):
@@ -109,6 +163,7 @@ class TestComputePsi:
         res = compute_psi(diag_op(2, 5), PsiQuery(-3.0, 3.0, scan_count=64))
         assert res.psi == pytest.approx(2.0, rel=1e-6)
         assert res.lam_star == pytest.approx(0.0, abs=1e-3)
+        assert res.lam_star <= 0.0
         assert res.converged
 
     def test_boundary_flagged(self):
@@ -147,12 +202,77 @@ class TestComputePsi:
         res = compute_psi(mode_h, q, extra_lams=eigs.imag[inside])
         assert res.psi <= eigs.real.min() * (1 + 1e-9)
 
+    @pytest.mark.parametrize("which", ["H", "L", "Q1L"])
+    def test_matches_full_grid_scan(self, which):
+        op, query, metric = mode_psi_case(which, 64)
+        res = compute_psi(op, query, metric=metric)
+        psi, lam_star, width, lam_grid, _ = full_grid_psi(op, query, metric)
+        assert abs(res.psi - psi) <= 1e-12 * psi
+        assert abs(abs(res.lam_star) - abs(lam_star)) <= max(res.scan_error, width)
+        assert np.abs(res.lam_grid - lam_grid).max() <= np.spacing(query.lam_hi)
+        assert res.lam_star <= 0.0
+        assert res.sigma_fallbacks == 0
+        record = res.as_record()
+        assert record["sigma_evals"] == res.sigma_evals > 0
+        assert record["sigma_fallbacks"] == 0
+
     def test_sqrt_gamma_scaling(self):
         psi_lo = psi_for_params(
             ModeParams(nu=0.01, gamma=0.1, k_f=1.0, k1=1, k3=0), "H", n=128).psi
         psi_hi = psi_for_params(
             ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0), "H", n=128).psi
         assert psi_hi / psi_lo == pytest.approx(2.0, rel=0.15)
+
+
+class TestPsiScanEvenness:
+    @pytest.mark.parametrize("which, scan_count", [("H", 48), ("Q1L", 49)])
+    def test_real_operator_one_svd_per_abs_lambda(self, sigma_calls, which, scan_count):
+        op, query, metric = mode_psi_case(which, 64, scan_count)
+        res = compute_psi(op, query, metric=metric)
+        assert np.array_equal(res.lam_grid, -res.lam_grid[::-1])
+        assert np.array_equal(res.sigma_grid, res.sigma_grid[::-1])
+        sigma_at = dict(sigma_calls)
+        assert min(sigma_at) >= 0.0
+        assert len(sigma_calls) == len(sigma_at) == res.sigma_evals
+        # replay the refinements of the lam <= 0 minima on the values the
+        # scan computed; refining their mirrors must add no call
+        g, sig = res.lam_grid, res.sigma_grid
+        one_side = 0
+        for i in range(1, len(g) - 1):
+            if g[i] <= 0.0 and sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
+                seen = []
+                _golden_refine(lambda x: seen.append(x) or sigma_at[abs(x)],
+                               g[i - 1], g[i + 1], query.refine_rtol)
+                one_side += len(seen)
+        assert len(sigma_calls) <= scan_count // 2 + 1 + one_side
+        assert res.lam_star <= 0.0
+
+    def test_lam_star_is_first_of_mirrored_pair(self):
+        # eigenvalues 1 +- 0.02i: the odd grid's minimum sits at lam = 0, and
+        # the golden search on [-h, h] starts on a tie and walks to +0.02
+        op = OperatorMatrix.from_dense(np.array([[1.0, 0.02], [-0.02, 1.0]], dtype=complex))
+        res = compute_psi(op, PsiQuery(-3.0, 3.0, scan_count=65))
+        assert res.psi == pytest.approx(1.0, rel=1e-8)
+        assert res.lam_star == pytest.approx(-0.02, abs=1e-3)
+
+    @pytest.mark.parametrize("make_op", [
+        lambda: n_lambda_cell(1e-2, 10.0, 64, 0.5),
+        lambda: OperatorMatrix.from_dense(
+            np.random.default_rng(3).standard_normal((24, 24))
+            + 1j * np.random.default_rng(4).standard_normal((24, 24))),
+    ], ids=["N_lambda", "complex_generic"])
+    def test_non_real_operator_is_evaluated_per_point(self, sigma_calls, make_op):
+        op = make_op()
+        assert any(np.any(v.imag) for v in op.diags.values())
+        query = PsiQuery(-2.0, 3.0, scan_count=48)
+        res = compute_psi(op, query)
+        assert min(lam for lam, _ in sigma_calls) < 0.0
+        per_point = np.array([smallest_singular_value(op, lam) for lam in res.lam_grid])
+        assert np.array_equal(res.sigma_grid, per_point)
+        psi, lam_star, width, lam_grid, sig = full_grid_psi(op, query)
+        assert np.array_equal(res.lam_grid, lam_grid)
+        assert np.array_equal(res.sigma_grid, sig)
+        assert (res.psi, res.lam_star, res.scan_error) == (psi, lam_star, width)
 
 
 class TestPseudospectrumGrid:
@@ -227,6 +347,15 @@ class TestResolventSweep:
                                             lams=[0.0, 0.5], betas=[10.0])
         for r2, r10 in zip(rows2, rows10):
             assert r2["ratio"] / r10["ratio"] == pytest.approx(1.0, abs=0.75)
+
+    def test_stall_reported_as_row_fallback(self):
+        # nu = 1e-3, alpha = 100 picks n = 1024; lambda = 1.5 stalls there
+        c_hat, rows = resolvent_bound_sweep(
+            "Nlambda", nus=[1e-3], alphas=[100.0], lams=[0.0, 1.5])
+        assert [r["n"] for r in rows] == [1024, 1024]
+        assert [r["fallback"] for r in rows] == [False, True]
+        assert [r["flag"] for r in rows] == ["", ""]
+        assert c_hat.value == min(r["ratio"] for r in rows)
 
     def test_regime_points_flagged(self):
         c_hat, rows = resolvent_bound_sweep(
