@@ -369,6 +369,7 @@ def criterion_dns_threshold(fast: bool = False) -> dict:
         rate_vs_half_sqrt_gamma=rate / (0.5 * np.sqrt(cfg.gamma)),
         m0_over_v0=main["m0_over_v0"], monotone=mono_ok,
         eps_star={nu: tmap.eps_star(nu) for nu in nus},
+        bracketed={nu: tmap.bracketed(nu) for nu in nus},
         threshold_rows=tmap.as_record()["rows"])
 
 

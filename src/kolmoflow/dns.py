@@ -460,6 +460,12 @@ class ThresholdMap:
                    if r["nu"] == nu and r["outcome"] == "decayed"]
         return max(decayed, default=0.0)
 
+    def bracketed(self, nu: float) -> bool:
+        """Whether the sweep at nu brackets the threshold: some of its cells
+        decayed and some did not. If not, eps_star(nu) is only a bound."""
+        decayed = {r["outcome"] == "decayed" for r in self.rows if r["nu"] == nu}
+        return decayed == {True, False}
+
     def monotone_in_nu(self) -> bool:
         nus = sorted({r["nu"] for r in self.rows})
         stars = [self.eps_star(nu) for nu in nus]
@@ -470,7 +476,9 @@ class ThresholdMap:
                           ("nu", "gamma", "epsilon", "seed", "outcome",
                            "rate_neq", "m0", "m1", "resolved")}
                          for r in self.rows],
-                "monotone_in_nu": self.monotone_in_nu()}
+                "monotone_in_nu": self.monotone_in_nu(),
+                "bracketed": {nu: self.bracketed(nu)
+                              for nu in sorted({r["nu"] for r in self.rows})}}
 
 
 def run_threshold_sweep(nus, epsilons, template: dict | None = None,

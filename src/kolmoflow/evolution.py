@@ -203,7 +203,7 @@ def coupled_generators(params: ModeParams, grid: FourierGrid
     a_h = mode_h.dense() + params.nu * kappa2 * eye
     n = grid.wavenumbers
     hinv = 1.0 / (params.alpha**2 + n**2)
-    cos_mat = OperatorMatrix("Generic", grid.n, multiplication_matrix("cos", grid.n)).dense()
+    cos_mat = OperatorMatrix("Generic", multiplication_matrix("cos", grid.n)).dense()
     coupling = (1j * params.k3 / params.k_f**3) * (params.gamma / params.nu) * (
         cos_mat * hinv[None, :])
     return a_l, a_h, coupling
@@ -457,14 +457,8 @@ def energy_identity_residual(traj: Trajectory, c_prime: float | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def _l1_banded_solve(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
-    bw = max(abs(k) for k in op.diags)
-    ab = np.zeros((2 * bw + 1, op.n), dtype=complex)
-    for k, v in op.diags.items():
-        j = np.arange(op.n - abs(k))
-        cols = j + k if k >= 0 else j
-        ab[bw - k, cols] = v
     try:
-        return solve_banded((bw, bw), ab, rhs)
+        return solve_banded((op.b, op.b), op.ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - L1 is invertible
         raise RuntimeError("singular L1 solve; operator should be invertible") from exc
 

@@ -128,25 +128,12 @@ class EmpiricalConstants:
 # sigma_min
 # ---------------------------------------------------------------------------
 
-def _banded_storage(diags: dict[int, np.ndarray], n: int, kl: int, ku: int) -> np.ndarray:
-    """LAPACK general-band storage with kl extra rows for the LU fill-in."""
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-    for k, v in diags.items():
-        j = np.arange(n - abs(k))
-        cols = j + k if k >= 0 else j
-        ab[kl + ku - k, cols] = v
-    return ab
-
-
 def _norm_bound(op: OperatorMatrix) -> float:
-    """sqrt(||M||_1 ||M||_inf) >= ||M||_2, read off the diagonals."""
-    col = np.zeros(op.n)
-    row = np.zeros(op.n)
-    for k, v in op.diags.items():
-        j = np.arange(op.n - abs(k))
-        rows, cols = (j, j + k) if k >= 0 else (j - k, j)
-        col[cols] += np.abs(v)
-        row[rows] += np.abs(v)
+    """sqrt(||M||_1 ||M||_inf) >= ||M||_2: the column sums of |M| are those
+    of its band array, the row sums those of the band array of M^*, each
+    summed in ascending offset order."""
+    col = sum(np.abs(r) for r in op.ab[::-1])
+    row = sum(np.abs(r) for r in op.adjoint().ab)
     return float(np.sqrt(col.max() * row.max()))
 
 
@@ -162,11 +149,9 @@ def _sigma_min_banded(op: OperatorMatrix, rng_seed: int = 0x5EED,
     ||M^* u - sigma z|| <= ITER_TOL * ||M||; after ITER_MAX iterations
     without that it returns None (a stall).
     """
-    n = op.n
-    bw = max((abs(k) for k in op.diags), default=0)
-    kl = ku = max(bw, 1)
-    ab = _banded_storage(op.diags, n, kl, ku)
-    lu, ipiv, info = lapack.zgbtrf(ab, kl, ku)
+    n, bw = op.n, op.b
+    # zgbtrf wants bw rows above the band for the fill-in of U
+    lu, ipiv, info = lapack.zgbtrf(np.vstack([np.zeros((bw, n), complex), op.ab]), bw, bw)
     if info != 0:
         # exactly singular shifted operator: sigma_min is zero
         return 0.0
@@ -177,8 +162,8 @@ def _sigma_min_banded(op: OperatorMatrix, rng_seed: int = 0x5EED,
     adjoint = op.adjoint()
     tol = ITER_TOL * _norm_bound(op)
     for _ in range(ITER_MAX):
-        y, info1 = lapack.zgbtrs(lu, kl, ku, v, ipiv, trans=2)   # M^(-*) V
-        x, info2 = lapack.zgbtrs(lu, kl, ku, y, ipiv, trans=0)   # M^(-1) Y
+        y, info1 = lapack.zgbtrs(lu, bw, bw, v, ipiv, trans=2)   # M^(-*) V
+        x, info2 = lapack.zgbtrs(lu, bw, bw, y, ipiv, trans=0)   # M^(-1) Y
         if info1 != 0 or info2 != 0 or not np.all(np.isfinite(x)):
             return None
         v, _ = np.linalg.qr(x)
@@ -205,16 +190,15 @@ def _sigma_min_jordan_wielandt(op: OperatorMatrix) -> float:
     Bisection on the tridiagonalized band gives sigma_min to an absolute
     error of order eps*||M||, whatever the clustering.
     """
-    n = op.n
-    bw = max((abs(k) for k in op.diags), default=0)
-    ab = np.zeros((2 * bw + 2, 2 * n), dtype=complex)
-    for k, v in op.diags.items():
-        j = np.arange(n - abs(k))
-        if k >= 0:   # M[j, j+k] = v[j] -> B[2(j+k)+1, 2j]
-            ab[2 * k + 1, 2 * j] = np.conj(v)
-        else:        # M[j-k, j] = v[j] -> B[2(j-k), 2j+1]
-            ab[-2 * k - 1, 2 * j + 1] = v
-    w = eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(n, n))
+    n, bw = op.n, op.b
+    jw = np.zeros((2 * bw + 2, 2 * n), dtype=complex)
+    for k in range(bw + 1):
+        # M[j, j+k] = op.ab[bw-k, j+k] -> B[2(j+k)+1, 2j], lower-band row 2k+1
+        jw[2 * k + 1, 0:2 * (n - k):2] = np.conj(op.ab[bw - k, k:])
+    for k in range(1, bw + 1):
+        # M[j+k, j] = op.ab[bw+k, j] -> B[2(j+k), 2j+1], lower-band row 2k-1
+        jw[2 * k - 1, 1:2 * (n - k):2] = op.ab[bw + k, :n - k]
+    w = eig_banded(jw, lower=True, eigvals_only=True, select="i", select_range=(n, n))
     return abs(float(w[0]))
 
 
@@ -226,9 +210,12 @@ def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
 
     With a metric W this is sigma_min(W^(1/2) (A - i*lam) W^(-1/2)); the
     similarity is exact because W is diagonal. `method` is one of
-    "auto" | "dense" | "banded". A stall of the banded iteration warns and,
+    "auto" | "dense" | "banded"; any other value raises
+    ConfigurationError. A stall of the banded iteration warns and,
     if `counts` is given, is tallied there with every call.
     """
+    if method not in ("auto", "dense", "banded"):
+        raise ConfigurationError(f"unknown sigma_min method {method!r}")
     if counts is not None:
         counts.evals += 1
     shifted = op.shifted(lam)
@@ -250,12 +237,7 @@ def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
 
 def _column_norm_bound(op: OperatorMatrix, lam: float) -> float:
     """min_j ||(A - i*lam) e_j||: an upper bound for sigma_min."""
-    a = op.shifted(lam)
-    sq = np.zeros(a.n)
-    for k, v in a.diags.items():
-        j = np.arange(a.n - abs(k))
-        cols = j + k if k >= 0 else j
-        sq[cols] += np.abs(v) ** 2
+    sq = sum(np.abs(r) ** 2 for r in op.shifted(lam).ab[::-1])
     return float(np.sqrt(sq.min()))
 
 
@@ -322,7 +304,7 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
         if metric.keep is not None:
             a = a.restricted(metric.keep)
         a = a.scaled_similarity(metric.sqrt_weights())
-    even = not any(np.any(v.imag) for v in a.diags.values())
+    even = not np.any(a.ab.imag)
     counts = SigmaCounts()
     memo: dict[float, float] = {}
 
@@ -388,13 +370,10 @@ def pseudospectrum_grid(op: OperatorMatrix, rect: tuple[float, float, float, flo
     re = np.linspace(rect[0], rect[1], nx)
     im = np.linspace(rect[2], rect[3], ny)
     sigma = np.empty((ny, nx))
-    for i, b in enumerate(im):
-        for j, a in enumerate(re):
-            shifted = op.shifted(b)  # A - i b
-            diags = {k: v.copy() for k, v in shifted.diags.items()}
-            diags[0] = diags.get(0, np.zeros(op.n, dtype=complex)) - a
-            m = OperatorMatrix(op.kind, op.n, diags, dict(op.meta))
-            sigma[i, j] = smallest_singular_value(m, 0.0)
+    for i, y in enumerate(im):
+        for j, x in enumerate(re):
+            # A - i*(y - i*x) = A - x - i*y
+            sigma[i, j] = smallest_singular_value(op.shifted(y - 1j * x), 0.0)
     return PseudospectrumField(re=re, im=im, sigma=sigma)
 
 

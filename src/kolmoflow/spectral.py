@@ -175,77 +175,106 @@ def build_grid(n: int, params: ModeParams, alpha: float | None = None) -> Fourie
     return FourierGrid(n=n, delta=params.layer_scale(alpha), y=y, wavenumbers=wavenumbers)
 
 
+def _band_index(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, rows, cols) of a (2b+1, n) band array: `inside` masks the
+    slots ab[r, j] that hold a matrix entry, rows/cols are their A indices."""
+    i = np.arange(n)[None, :] + np.arange(-b, b + 1)[:, None]
+    inside = (i >= 0) & (i < n)
+    return inside, i[inside], np.broadcast_to(np.arange(n), i.shape)[inside]
+
+
 @dataclass
 class OperatorMatrix:
     """Banded complex operator in the monotone Fourier basis.
 
-    `diags` maps offset k to the entries of that diagonal, scipy.sparse.diags
-    convention: offset k >= 0 holds A[j, j+k], offset k < 0 holds A[j-k, j],
-    always length n - |k|. Instances are treated as immutable after assembly
-    and are safe to share across workers.
+    `ab` is the one storage of the entries: the LAPACK/scipy general-band
+    array of shape (2b+1, n) with ab[b + i - j, j] = A[i, j], so row b - k
+    holds diagonal k and the slots that fall outside the matrix are zero.
+    n and the half-bandwidth b are read off its shape. scipy's
+    solve_banded reads `ab` as it is, LAPACK's zgbtrf reads it under b
+    fill-in rows and the Jordan-Wielandt matrix for eig_banded is packed
+    from its rows; nothing re-packs diagonals per call. `diags` is a
+    derived view. Instances are treated as immutable after assembly and
+    are safe to share across workers.
     """
 
     kind: str
-    n: int
-    diags: dict[int, np.ndarray]
+    ab: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ConfigurationError(f"unknown operator kind {self.kind!r}")
-        for k, v in self.diags.items():
-            if len(v) != self.n - abs(k):
-                raise ConfigurationError(f"diagonal {k} has wrong length")
+        self.ab = np.asarray(self.ab, dtype=complex)
+        if self.ab.ndim != 2 or self.ab.shape[0] % 2 != 1:
+            raise ConfigurationError("band array must have shape (2b+1, n)")
+
+    @property
+    def n(self) -> int:
+        return self.ab.shape[1]
+
+    @property
+    def b(self) -> int:
+        return self.ab.shape[0] // 2
+
+    @property
+    def diags(self) -> dict[int, np.ndarray]:
+        """Offset k -> diagonal k, scipy.sparse.diags convention (k >= 0
+        holds A[j, j+k], k < 0 holds A[j-k, j], length n - |k|), as
+        read-only views of `ab` in ascending k."""
+        n, b = self.n, self.b
+        out = {k: self.ab[b - k, k:] if k >= 0 else self.ab[b - k, :n + k]
+               for k in range(-b, b + 1)}
+        for v in out.values():
+            v.flags.writeable = False
+        return out
 
     @property
     def bandwidth(self) -> int:
-        live = [abs(k) for k, v in self.diags.items() if np.any(v != 0)]
+        live = [abs(self.b - r) for r in range(2 * self.b + 1) if np.any(self.ab[r])]
         return max(live, default=0)
 
     def dense(self) -> np.ndarray:
+        inside, rows, cols = _band_index(self.b, self.n)
         a = np.zeros((self.n, self.n), dtype=complex)
-        for k, v in self.diags.items():
-            idx = np.arange(self.n - abs(k))
-            if k >= 0:
-                a[idx, idx + k] = v
-            else:
-                a[idx - k, idx] = v
+        a[rows, cols] = self.ab[inside]
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector or an (n, b) block of column vectors."""
+        """A @ x for a vector or an (n, m) block of column vectors. The
+        diagonals are accumulated in ascending offset order, whatever
+        built the operator, so the rounding of A @ x is fixed."""
+        n, b = self.n, self.b
         out = np.zeros(np.shape(x), dtype=complex)
-        for k, v in self.diags.items():
-            v = v.reshape((-1,) + (1,) * (out.ndim - 1))
+        for k in range(-b, b + 1):
+            v = self.ab[b - k].reshape((-1,) + (1,) * (out.ndim - 1))
             if k >= 0:
-                out[: self.n - k] += v * x[k:]
+                out[: n - k] += v[k:] * x[k:]
             else:
-                out[-k:] += v * x[: self.n + k]
+                out[-k:] += v[: n + k] * x[: n + k]
         return out
 
     def adjoint(self) -> "OperatorMatrix":
-        """Return A^* (conjugate transpose): diagonal k moves to offset -k."""
-        diags = {-k: np.conj(v) for k, v in self.diags.items()}
-        return OperatorMatrix(self.kind, self.n, diags, dict(self.meta))
+        """Return A^* (conjugate transpose): A[i, j] moves to slot
+        (b + j - i, i)."""
+        inside, rows, cols = _band_index(self.b, self.n)
+        ab = np.zeros_like(self.ab)
+        ab[self.b + cols - rows, rows] = np.conj(self.ab[inside])
+        return OperatorMatrix(self.kind, ab, dict(self.meta))
 
-    def shifted(self, lam: float) -> "OperatorMatrix":
-        """Return A - i*lam*I (the pseudospectral shift)."""
-        diags = {k: v.copy() for k, v in self.diags.items()}
-        main = diags.get(0, np.zeros(self.n, dtype=complex))
-        diags[0] = main - 1j * lam
-        return OperatorMatrix(self.kind, self.n, diags, dict(self.meta))
+    def shifted(self, lam: complex) -> "OperatorMatrix":
+        """Return A - i*lam*I (the pseudospectral shift; a complex lam
+        moves the real part of the spectrum too)."""
+        ab = self.ab.copy()
+        ab[self.b] -= 1j * lam
+        return OperatorMatrix(self.kind, ab, dict(self.meta))
 
     def scaled_similarity(self, w_sqrt: np.ndarray) -> "OperatorMatrix":
         """Return W^(1/2) A W^(-1/2) for diagonal weights (w_sqrt = W^(1/2))."""
-        diags = {}
-        for k, v in self.diags.items():
-            j = np.arange(self.n - abs(k))
-            if k >= 0:
-                rows, cols = j, j + k
-            else:
-                rows, cols = j - k, j
-            diags[k] = v * w_sqrt[rows] / w_sqrt[cols]
-        return OperatorMatrix(self.kind, self.n, diags, dict(self.meta))
+        inside, rows, cols = _band_index(self.b, self.n)
+        ab = np.zeros_like(self.ab)
+        ab[inside] = self.ab[inside] * w_sqrt[rows] / w_sqrt[cols]
+        return OperatorMatrix(self.kind, ab, dict(self.meta))
 
     def restricted(self, keep: np.ndarray) -> "OperatorMatrix":
         """Restrict to the index subset `keep` (boolean mask). Dropping
@@ -258,47 +287,43 @@ class OperatorMatrix:
     def from_dense(cls, a: np.ndarray, kind: str = "Generic",
                    meta: dict | None = None,
                    bandwidth: int | None = None) -> "OperatorMatrix":
-        """Diagonals of `a`; a caller that knows `a` has no entry beyond
-        offset `bandwidth` passes it to skip scanning the rest."""
+        """Band array of `a`, as narrow as its nonzero diagonals allow; a
+        caller that knows `a` has no entry beyond offset `bandwidth` passes
+        it to skip scanning the rest."""
         a = np.asarray(a, dtype=complex)
         m = a.shape[0]
         bw = m - 1 if bandwidth is None else min(bandwidth, m - 1)
-        diags = {}
-        for k in range(-bw, bw + 1):
-            v = np.diagonal(a, offset=k)
-            if np.any(v != 0) or k == 0:
-                diags[k] = np.ascontiguousarray(v)
-        return cls(kind, m, diags, meta or {})
+        b = max((abs(k) for k in range(-bw, bw + 1) if np.any(np.diagonal(a, k))),
+                default=0)
+        inside, rows, cols = _band_index(b, m)
+        ab = np.zeros((2 * b + 1, m), dtype=complex)
+        ab[inside] = a[rows, cols]
+        return cls(kind, ab, meta or {})
 
 
-def multiplication_matrix(which: str, n: int) -> dict[int, np.ndarray]:
-    """Diagonals of multiplication by sin(y) or cos(y) in the Fourier basis.
+def _main_diagonal(v: np.ndarray) -> np.ndarray:
+    """Band rows (half-bandwidth 1) of diag(v)."""
+    ab = np.zeros((3, len(v)), dtype=complex)
+    ab[1] = v
+    return ab
+
+
+def multiplication_matrix(which: str, n: int) -> np.ndarray:
+    """Band rows (half-bandwidth 1) of multiplication by sin(y) or cos(y)
+    in the Fourier basis.
 
     sin(y): (Sw)_n = -i/2 w_{n-1} + i/2 w_{n+1};  cos(y): 1/2 (w_{n-1}+w_{n+1}).
     """
-    m = n - 1
     if which == "sin":
-        return {-1: np.full(m, -0.5j), 1: np.full(m, 0.5j)}
-    if which == "cos":
-        return {-1: np.full(m, 0.5 + 0j), 1: np.full(m, 0.5 + 0j)}
-    raise ConfigurationError(f"unknown multiplier {which!r}")
-
-
-def _scale_columns(diags: dict[int, np.ndarray], col_scale: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    out = {}
-    for k, v in diags.items():
-        j = np.arange(n - abs(k))
-        cols = j + k if k >= 0 else j
-        out[k] = v * col_scale[cols]
-    return out
-
-
-def _add_diags(*many: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    for d in many:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v.astype(complex)
-    return out
+        up, down = 0.5j, -0.5j
+    elif which == "cos":
+        up, down = 0.5 + 0j, 0.5 + 0j
+    else:
+        raise ConfigurationError(f"unknown multiplier {which!r}")
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = up
+    ab[2, :-1] = down
+    return ab
 
 
 def helmholtz_inverse(beta: float, grid: FourierGrid) -> OperatorMatrix:
@@ -306,7 +331,7 @@ def helmholtz_inverse(beta: float, grid: FourierGrid) -> OperatorMatrix:
     if beta <= 0:
         raise ConfigurationError("helmholtz_inverse requires beta > 0")
     n = grid.wavenumbers
-    return OperatorMatrix("HelmholtzInv", grid.n, {0: (1.0 / (beta**2 + n**2)).astype(complex)})
+    return OperatorMatrix("HelmholtzInv", (1.0 / (beta**2 + n**2)).astype(complex)[None, :])
 
 
 def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
@@ -315,13 +340,9 @@ def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     a = params.alpha if alpha is None else alpha
     nu = params.nu
     n = grid.wavenumbers
-    sin_d = multiplication_matrix("sin", grid.n)
-    diags = _add_diags(
-        {0: (1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2},
-        {k: (1j * a / nu) * v for k, v in sin_d.items()},
-    )
-    return OperatorMatrix("Nlambda", grid.n, diags,
-                          {"alpha": a, "nu": nu, "lam": lam})
+    ab = (_main_diagonal((1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2)
+          + (1j * a / nu) * multiplication_matrix("sin", grid.n))
+    return OperatorMatrix("Nlambda", ab, {"alpha": a, "nu": nu, "lam": lam})
 
 
 def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGrid,
@@ -340,30 +361,22 @@ def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGr
     b = params.beta if beta is None else beta
     nu, lam = params.nu, query.lam
     n = grid.wavenumbers
-    visc = {0: nu * n.astype(complex) ** 2}
+    visc = nu * n.astype(complex) ** 2
+    c = 1j * a / nu
+    sin_b = multiplication_matrix("sin", grid.n)
     if u_form:
         bt = query.beta_tilde
         if bt <= 0:
             raise ConfigurationError("u-form requires beta_tilde > 0")
         hinv = 1.0 / (bt**2 + n**2)
-        sin_d = multiplication_matrix("sin", grid.n)
-        diags = _add_diags(
-            visc,
-            {0: (1j * a / nu) * (-lam) * (1.0 + hinv).astype(complex)},
-            {k: (1j * a / nu) * v for k, v in sin_d.items()},
-        )
-        return OperatorMatrix("Llambda", grid.n, diags,
+        ab = _main_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b
+        return OperatorMatrix("Llambda", ab,
                               {"alpha": a, "beta_tilde": bt, "nu": nu, "lam": lam, "form": "u"})
     if b <= 0:
         raise ConfigurationError("Llambda requires beta > 0")
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    sin_d = multiplication_matrix("sin", grid.n)
-    diags = _add_diags(
-        visc,
-        {0: np.full(grid.n, (1j * a / nu) * (-lam))},
-        {k: (1j * a / nu) * v for k, v in _scale_columns(sin_d, one_minus_h, grid.n).items()},
-    )
-    return OperatorMatrix("Llambda", grid.n, diags,
+    ab = _main_diagonal(visc + c * (-lam)) + c * (sin_b * one_minus_h[None, :])
+    return OperatorMatrix("Llambda", ab,
                           {"alpha": a, "beta": b, "nu": nu, "lam": lam, "form": "w"})
 
 
@@ -379,19 +392,12 @@ def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[Oper
     b = params.beta
     c = 1j * params.k1 * params.gamma / (kf**2 * nu)
     n = grid.wavenumbers
-    visc = {0: nu * kf**2 * n.astype(complex) ** 2}
-    sin_d = multiplication_matrix("sin", grid.n)
-    mode_h = OperatorMatrix(
-        "ModeH", grid.n,
-        _add_diags(visc, {k: c * v for k, v in sin_d.items()}),
-        {"params": params},
-    )
+    visc = _main_diagonal(nu * kf**2 * n.astype(complex) ** 2)
+    sin_b = multiplication_matrix("sin", grid.n)
+    mode_h = OperatorMatrix("ModeH", visc + c * sin_b, {"params": params})
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    mode_l = OperatorMatrix(
-        "ModeL", grid.n,
-        _add_diags(visc, {k: c * v for k, v in _scale_columns(sin_d, one_minus_h, grid.n).items()}),
-        {"params": params, "beta": b},
-    )
+    mode_l = OperatorMatrix("ModeL", visc + c * (sin_b * one_minus_h[None, :]),
+                            {"params": params, "beta": b})
     return mode_l, mode_h
 
 
@@ -400,20 +406,17 @@ def assemble_L1(nu: float, beta: float, grid: FourierGrid) -> OperatorMatrix:
     if nu <= 0 or beta == 0:
         raise ConfigurationError("assemble_L1 requires nu > 0 and beta != 0")
     n = grid.wavenumbers
-    sin_d = multiplication_matrix("sin", grid.n)
-    diags = _add_diags(
-        {0: -nu * (n.astype(complex) ** 2 + 1.0)},
-        {k: (-1j * beta / nu) * v for k, v in sin_d.items()},
-    )
-    return OperatorMatrix("L1", grid.n, diags, {"nu": nu, "beta": beta})
+    ab = (_main_diagonal(-nu * (n.astype(complex) ** 2 + 1.0))
+          + (-1j * beta / nu) * multiplication_matrix("sin", grid.n))
+    return OperatorMatrix("L1", ab, {"nu": nu, "beta": beta})
 
 
 def mean_projections(grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(Q1, P1): Q1 zeroes the n=0 coefficient, P1 keeps only it."""
     q = (grid.wavenumbers != 0).astype(complex)
     return (
-        OperatorMatrix("QProj", grid.n, {0: q}, {"which": "Q1"}),
-        OperatorMatrix("QProj", grid.n, {0: 1.0 - q}, {"which": "P1"}),
+        OperatorMatrix("QProj", q[None, :], {"which": "Q1"}),
+        OperatorMatrix("QProj", 1.0 - q[None, :], {"which": "P1"}),
     )
 
 

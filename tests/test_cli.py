@@ -177,11 +177,16 @@ class TestEndToEnd:
 
         tcfg = tmp_path / "thr.cfg"
         tcfg.write_text("nu = 0.05\nepsilon = 0, 0.001\nk_f = 0.5\nn = 16\n")
-        code = main(["threshold", "--config", str(tcfg), "--out",
-                     str(tmp_path / "t"), "--jobs", "2"])
-        assert code in (EXIT_OK, EXIT_RESOLUTION)
-        doc = json.loads((tmp_path / "t" / "threshold_report.json").read_text())
-        assert doc["payload"]["monotone_in_nu"] is True
+        payloads = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"t{jobs}"
+            code = main(["threshold", "--config", str(tcfg), "--out", str(out),
+                         "--jobs", jobs])
+            assert code in (EXIT_OK, EXIT_RESOLUTION)
+            doc = json.loads((out / "threshold_report.json").read_text())
+            assert doc["payload"]["monotone_in_nu"] is True
+            payloads.append(payload_bytes(doc["payload"]))
+        assert payloads[0] == payloads[1]  # --jobs never changes output bytes
 
 
 class TestOutputFiles:

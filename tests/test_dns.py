@@ -285,6 +285,23 @@ class TestRuns:
         assert tmap.eps_star(0.05) == 1e-1
         assert tmap.monotone_in_nu()
 
+    def test_threshold_map_reports_bracketing(self):
+        tmap = ThresholdMap(rows=[
+            {"nu": 0.02, "gamma": 0.02, "epsilon": 1e-3, "seed": 0, "outcome": "decayed",
+             "rate_neq": 0.1, "m0": 1.0, "m1": 1.0, "resolved": True},
+            {"nu": 0.02, "gamma": 0.02, "epsilon": 1e-1, "seed": 0, "outcome": "persisted",
+             "rate_neq": 0.0, "m0": 1.0, "m1": 1.0, "resolved": True},
+            {"nu": 0.05, "gamma": 0.05, "epsilon": 1e-3, "seed": 0, "outcome": "decayed",
+             "rate_neq": 0.1, "m0": 1.0, "m1": 1.0, "resolved": True},
+            {"nu": 0.05, "gamma": 0.05, "epsilon": 1e-1, "seed": 0, "outcome": "decayed",
+             "rate_neq": 0.1, "m0": 1.0, "m1": 1.0, "resolved": True},
+        ])
+        assert tmap.bracketed(0.02)
+        assert not tmap.bracketed(0.05)  # every cell decayed: eps_star is a lower bound
+        record = tmap.as_record()
+        assert record["bracketed"] == {0.02: True, 0.05: False}
+        assert record["monotone_in_nu"] is True
+
     def test_checkpoint_restart(self, tmp_path):
         cfg = base_config(epsilon=1e-3, seed=3, dt=0.02)
         st = init_perturbation(cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kolmoflow.spectral import (
+    ConfigurationError,
     ModeParams,
     OperatorMatrix,
     ResolventQuery,
@@ -20,7 +21,9 @@ from kolmoflow.pseudospectra import (
     EmpiricalConstants,
     PsiQuery,
     SigmaCounts,
+    _column_norm_bound,
     _golden_refine,
+    _norm_bound,
     _sigma_min_jordan_wielandt,
     compute_psi,
     default_psi_query,
@@ -145,6 +148,11 @@ class TestSigmaMin:
             dense = dense_sigma_min(m)
             assert abs(_sigma_min_jordan_wielandt(m) - dense) / dense <= 1e-12
 
+    @pytest.mark.parametrize("method", ["lanczos", "Dense"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ConfigurationError, match="method"):
+            smallest_singular_value(diag_op(1, 2), method=method)
+
     def test_metric_consistency(self):
         # euclid and star sigma_min within factors (1-beta^-2)^(+-1/2)
         p = ModeParams(nu=0.01, gamma=0.3, k_f=0.5, k1=1, k3=1)
@@ -156,6 +164,51 @@ class TestSigmaMin:
             se = smallest_singular_value(mode_l, lam)
             ss = smallest_singular_value(mode_l, lam, metric=metric)
             assert fac * se * (1 - 1e-10) <= ss <= se / fac * (1 + 1e-10)
+
+
+def upper_band_op(n=7, seed=3):
+    """A non-symmetric Generic band: diagonals 0, 1, 2 only, so its rows
+    and columns have different sums and norms."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n), dtype=complex)
+    for k in (0, 1, 2):
+        v = rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)
+        a += np.diag(v * (k + 1), k)
+    return OperatorMatrix.from_dense(a)
+
+
+def star_mode_l(lam=0.3):
+    """A ModeL shifted by i*lam and star-scaled W^(1/2) A W^(-1/2)."""
+    op, _, metric = mode_psi_case("L", 64)
+    return op.shifted(lam).scaled_similarity(metric.sqrt_weights())
+
+
+class TestNormBounds:
+    """The bounds read off the band storage against dense oracles."""
+
+    @pytest.mark.parametrize("make_op", [upper_band_op, star_mode_l])
+    def test_norm_bound_is_sqrt_of_one_and_inf_norms(self, make_op):
+        op = make_op()
+        a = op.dense()
+        want = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+        assert _norm_bound(op) == pytest.approx(want, rel=1e-14)
+        assert _norm_bound(op) >= np.linalg.norm(a, 2) * (1 - 1e-14)
+
+    @pytest.mark.parametrize("make_op", [upper_band_op, star_mode_l])
+    @pytest.mark.parametrize("lam", [0.0, -0.7, 2.5])
+    def test_column_norm_bound_is_smallest_shifted_column(self, make_op, lam):
+        op = make_op()
+        shifted = op.dense() - 1j * lam * np.eye(op.n)
+        want = np.linalg.norm(shifted, axis=0).min()
+        assert _column_norm_bound(op, lam) == pytest.approx(want, rel=1e-14)
+        assert dense_sigma_min(op.shifted(lam)) <= want * (1 + 1e-14)
+
+    def test_jordan_wielandt_on_upper_band(self):
+        op = upper_band_op(n=12)
+        for lam in (0.0, 1.3):
+            m = op.shifted(lam)
+            dense = dense_sigma_min(m)
+            assert abs(_sigma_min_jordan_wielandt(m) - dense) / dense <= 1e-12
 
 
 class TestComputePsi:

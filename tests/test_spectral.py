@@ -402,3 +402,24 @@ def test_operator_matrix_block_matvec_and_adjoint():
     by_column = np.column_stack([op.matvec(block[:, j]) for j in range(3)])
     assert np.array_equal(op.matvec(block), by_column)
     assert np.array_equal(op.adjoint().dense(), op.dense().conj().T)
+
+
+def test_operator_matrix_band_layout():
+    # offsets -1 .. 2: half-bandwidth 2 with an all-zero offset -2 row
+    a = sum(np.diag(RNG.standard_normal(9 - abs(k)) + 1j * RNG.standard_normal(9 - abs(k)), k)
+            for k in (-1, 0, 1, 2))
+    op = OperatorMatrix.from_dense(a)
+    assert op.ab.shape == (5, 9) and (op.b, op.n, op.bandwidth) == (2, 9, 2)
+    for r in range(5):
+        for j in range(9):
+            i = j + r - 2
+            assert op.ab[r, j] == (a[i, j] if 0 <= i < 9 else 0.0)
+    assert list(op.diags) == [-2, -1, 0, 1, 2]
+    assert all(np.array_equal(v, np.diagonal(a, k)) for k, v in op.diags.items())
+    assert np.array_equal(op.dense(), a)
+    assert np.array_equal(op.adjoint().dense(), a.conj().T)
+    w = 1.0 + RNG.random(9)
+    assert np.array_equal(op.scaled_similarity(w).dense(), (w[:, None] * a) / w[None, :])
+    assert np.array_equal(op.shifted(0.5).dense(), a - 0.5j * np.eye(9))
+    with pytest.raises(ConfigurationError):
+        OperatorMatrix("Generic", np.zeros((2, 9)))
