@@ -522,12 +522,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    from .evolution import StepSizeError
+
     try:
         return run_subcommand(cfg)
     except (ConfigError,) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return exc.code
-    except ConfigurationError as exc:
+    except (ConfigurationError, StepSizeError) as exc:
+        # a Duhamel step too large for its quadrature is a setting to change
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -191,11 +191,11 @@ class OperatorMatrix:
     array of shape (2b+1, n) with ab[b + i - j, j] = A[i, j], so row b - k
     holds diagonal k and the slots that fall outside the matrix are zero.
     n and the half-bandwidth b are read off its shape. scipy's
-    solve_banded reads `ab` as it is, LAPACK's zgbtrf reads it under b
-    fill-in rows and the Jordan-Wielandt matrix for eig_banded is packed
-    from its rows; nothing re-packs diagonals per call. `diags` is a
-    derived view. Instances are treated as immutable after assembly and
-    are safe to share across workers.
+    solve_banded reads `ab` as it is, and the sigma_min kernel builds its
+    Gram band M^*M and its Jordan-Wielandt band from its rows; nothing
+    re-packs diagonals per call. `diags` is a derived view. Instances are
+    treated as immutable after assembly and are safe to share across
+    workers.
     """
 
     kind: str

@@ -134,6 +134,16 @@ class TestEndToEnd:
         assert main(["psi", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_duhamel_step_too_large_is_a_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "evolve.cfg"
+        cfgfile.write_text("nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\n"
+                           "n = 48\nt_end = 12\ndt = 0.1\nmethod = duhamel\n")
+        code = main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                     "--seed", "3"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "reduce dt" in err
+
     def test_dns_epsilon_zero_trivially_passes(self, tmp_path):
         cfgfile = tmp_path / "dns.cfg"
         cfgfile.write_text(

@@ -20,11 +20,9 @@ import kolmoflow.pseudospectra as ps
 from kolmoflow.pseudospectra import (
     EmpiricalConstants,
     PsiQuery,
-    SigmaCounts,
     _column_norm_bound,
     _golden_refine,
     _norm_bound,
-    _sigma_min_jordan_wielandt,
     compute_psi,
     default_psi_query,
     pseudospectrum_grid,
@@ -123,19 +121,14 @@ class TestSigmaMin:
         banded = smallest_singular_value(op, method="banded")
         assert abs(banded - dense) / dense <= 1e-12
 
-    def test_stall_falls_back_once_to_jordan_wielandt(self):
-        # |lambda| > 1 clusters the bottom singular values: inverse iteration
-        # stalls at its cap and the banded eigensolve takes over
+    def test_clustered_cell_at_lambda_above_one(self):
+        # |lambda| > 1 clusters the bottom singular values
         op = n_lambda_cell(1e-3, 100.0, 1024, 1.5)
         dense = dense_sigma_min(op)
-        counts = SigmaCounts()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sigma = smallest_singular_value(op, counts=counts)
-        fallbacks = [w for w in caught if "falling back to dense" in str(w.message)]
-        assert len(fallbacks) == 1 and len(caught) == 1
-        assert counts == SigmaCounts(evals=1, fallbacks=1)
-        assert abs(sigma - dense) / dense <= 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = smallest_singular_value(op)
+        assert abs(sigma - dense) / dense <= 1e-12
 
     def test_jordan_wielandt_star_metric_l_lambda(self):
         p = ModeParams(nu=1e-2, gamma=100.0, k_f=1.0, k1=1, k3=0)
@@ -146,7 +139,7 @@ class TestSigmaMin:
             op = assemble_L_lambda(p, q, grid, alpha=100.0, beta=2.0)
             m = op.scaled_similarity(metric.sqrt_weights())
             dense = dense_sigma_min(m)
-            assert abs(_sigma_min_jordan_wielandt(m) - dense) / dense <= 1e-12
+            assert abs(smallest_singular_value(m, method="banded") - dense) / dense <= 1e-12
 
     @pytest.mark.parametrize("method", ["lanczos", "Dense"])
     def test_unknown_method_rejected(self, method):
@@ -208,7 +201,91 @@ class TestNormBounds:
         for lam in (0.0, 1.3):
             m = op.shifted(lam)
             dense = dense_sigma_min(m)
-            assert abs(_sigma_min_jordan_wielandt(m) - dense) / dense <= 1e-12
+            assert abs(smallest_singular_value(m, method="banded") - dense) / dense <= 1e-12
+
+
+def block_pairs_op(pairs, seed):
+    """Block-diagonal band (b = 1) of 2x2 blocks U diag(p, q) V^* with random
+    unitary U and V, so its singular values are the given pairs."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((2 * len(pairs), 2 * len(pairs)), dtype=complex)
+    for i, pair in enumerate(pairs):
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = u @ np.diag(pair) @ v.conj().T
+    return OperatorMatrix.from_dense(a)
+
+
+def spread_pairs(head, seed, n_blocks=64):
+    """The pairs `head` among blocks with singular values in [5, 10], shuffled."""
+    rng = np.random.default_rng(100 + seed)
+    pairs = list(head) + [tuple(r) for r in rng.uniform(5.0, 10.0, (n_blocks - len(head), 2))]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def assert_banded_matches_dense(op, rtol=1e-12):
+    dense = dense_sigma_min(op)
+    assert abs(smallest_singular_value(op, method="banded") - dense) <= rtol * dense
+
+
+class TestSigmaMinKernel:
+    """The O(n) kernel against dense SVD where its block polish, its choice
+    of Ritz value and its bisection floor decide the answer."""
+
+    def test_near_degenerate_mode_h_pair(self):
+        # the bottom pair is 5.4e-10 apart; a single polish vector settles
+        # between the two
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+        grid = build_grid(256, p, alpha=p.k1 * p.gamma / p.k_f**4)
+        _, mode_h = assemble_mode_operators(p, grid)
+        op = mode_h.shifted(0.3)
+        sv = np.linalg.svd(op.dense(), compute_uv=False)
+        assert sv[-2] / sv[-1] - 1.0 < 1e-8
+        assert_banded_matches_dense(op)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constructed_pair_1e10_apart(self, seed):
+        assert_banded_matches_dense(block_pairs_op(spread_pairs([(1.0, 1.0 + 1e-10)], seed), seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ritz_values_outside_the_bracket_rejected(self, seed):
+        # -sigma_1 and the singular values 3 and 3(1 + 1e-6) all lie 2 from
+        # the shift 1: three eigenvalues of B share the two other block
+        # vectors, whose Ritz values then mix -sigma_1 with 3 and can fall
+        # below sigma_1 in modulus
+        head = [(1.0, 3.0), (3.0 * (1.0 + 1e-6), 7.0)]
+        assert_banded_matches_dense(block_pairs_op(spread_pairs(head, seed), seed))
+
+    def test_exactly_singular(self, monkeypatch):
+        assert smallest_singular_value(diag_op(0, 1, 2), method="banded") == 0.0
+        # a rank-one 2x2 block and no zero column: the bisection runs down to
+        # its eps*||M|| floor
+        a = np.diag(np.arange(1.0, 101.0)).astype(complex)
+        a[:2, :2] = 1.0
+        op = OperatorMatrix.from_dense(a)
+        steps = []
+        zpbtrf = ps.lapack.zpbtrf
+        monkeypatch.setattr(ps.lapack, "zpbtrf",
+                            lambda *args, **kw: steps.append(1) or zpbtrf(*args, **kw))
+        eps = np.finfo(float).eps
+        assert 0.0 <= smallest_singular_value(op, method="banded") <= 4 * eps * _norm_bound(op)
+        assert 0 < len(steps) <= np.log2(1.0 / (ps._BRACKET_RTOL * eps))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8, -1.7])
+    def test_complex_generic_band(self, lam):
+        rng = np.random.default_rng(7)
+        a = sum(np.diag(rng.standard_normal(200 - abs(k)) + 1j * rng.standard_normal(200 - abs(k)), k)
+                for k in range(-2, 3))
+        assert_banded_matches_dense(OperatorMatrix.from_dense(a).shifted(lam))
+
+    def test_pseudospectrum_grid_complex_shifts(self):
+        # around the ModeH eigenvalue 0.316 - 39.68i, at n = 128 > DENSE_SVD_MAX
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)
+        _, mode_h = assemble_mode_operators(p, build_grid(128, p, alpha=0.4))
+        field = pseudospectrum_grid(mode_h, (0.0, 1.0, -40.0, -38.5), (8, 8))
+        want = np.array([[dense_sigma_min(mode_h.shifted(y - 1j * x)) for x in field.re]
+                         for y in field.im])
+        assert np.all(np.abs(field.sigma - want) <= 1e-12 * want)
 
 
 class TestComputePsi:
@@ -264,10 +341,8 @@ class TestComputePsi:
         assert abs(abs(res.lam_star) - abs(lam_star)) <= max(res.scan_error, width)
         assert np.abs(res.lam_grid - lam_grid).max() <= np.spacing(query.lam_hi)
         assert res.lam_star <= 0.0
-        assert res.sigma_fallbacks == 0
         record = res.as_record()
         assert record["sigma_evals"] == res.sigma_evals > 0
-        assert record["sigma_fallbacks"] == 0
 
     def test_sqrt_gamma_scaling(self):
         psi_lo = psi_for_params(
@@ -401,12 +476,12 @@ class TestResolventSweep:
         for r2, r10 in zip(rows2, rows10):
             assert r2["ratio"] / r10["ratio"] == pytest.approx(1.0, abs=0.75)
 
-    def test_stall_reported_as_row_fallback(self):
-        # nu = 1e-3, alpha = 100 picks n = 1024; lambda = 1.5 stalls there
+    def test_rows_at_lambda_above_one(self):
+        # nu = 1e-3, alpha = 100 picks n = 1024
         c_hat, rows = resolvent_bound_sweep(
             "Nlambda", nus=[1e-3], alphas=[100.0], lams=[0.0, 1.5])
         assert [r["n"] for r in rows] == [1024, 1024]
-        assert [r["fallback"] for r in rows] == [False, True]
+        assert not any("fallback" in r for r in rows)
         assert [r["flag"] for r in rows] == ["", ""]
         assert c_hat.value == min(r["ratio"] for r in rows)
 
