@@ -5,7 +5,11 @@ Values: scalars (int/float/str) or comma-separated lists; key paths are
 flat dotted names documented per subcommand in SCHEMAS. Unknown keys,
 type mismatches and range violations are rejected with line numbers and
 distinct exit codes (10/11/12); other configuration problems exit 2,
-verdict failures exit 1, numerical-resolution flags exit 3.
+verdict failures exit 1, numerical-resolution flags exit 3. `--seed` must
+lie in [0, 2**64) and `--jobs` must be at least 1 (exit 2 otherwise).
+
+`threshold` hands `--jobs` to `dns.run_threshold_sweep`, which owns the
+worker pool; the other subcommands ignore it.
 
 Every emitted file carries a report envelope. The envelope holds the tool
 version, a timestamp and the echoed config; rerunning with identical
@@ -16,7 +20,6 @@ timestamp lives only in the envelope header).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 import time
@@ -286,15 +289,6 @@ def check_report(path: Path) -> dict:
     return doc
 
 
-def parallel_map(fn, cells, jobs: int):
-    """Map over independent sweep cells; results return in input order, so
-    aggregation is deterministic regardless of the worker count."""
-    if jobs <= 1:
-        return [fn(c) for c in cells]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -419,26 +413,14 @@ def _run_dns(cfg: RunConfig) -> tuple[dict, bool, bool]:
     return payload, passed, not out["resolved"]
 
 
-def _threshold_cell(args) -> dict:
-    from . import dns
-    nu, eps, k_f, n, seed = args
-    c = dns.DNSConfig(nu=nu, gamma=nu, k_f=k_f, n=(n,) * 3, epsilon=eps, seed=seed)
-    out = dns.run_simulation(c)
-    return {"nu": nu, "gamma": nu, "epsilon": eps, "seed": seed,
-            "outcome": out["outcome"], "rate_neq": out["rate_neq"],
-            "m0": out["m0"], "m1": out["m1"], "resolved": out["resolved"]}
-
-
 def _run_threshold(cfg: RunConfig) -> tuple[dict, bool, bool]:
     from . import dns
     v = cfg.values
-    cells = sorted((nu, eps, v["k_f"], int(v["n"]), cfg.seed)
-                   for nu in v["nu"] for eps in v["epsilon"])
-    rows = parallel_map(_threshold_cell, cells, cfg.jobs)
-    tmap = dns.ThresholdMap(rows=rows)
-    payload = _jsonable(tmap.as_record())
-    unresolved = any(not r["resolved"] for r in rows)
-    return payload, tmap.monotone_in_nu(), unresolved
+    tmap = dns.run_threshold_sweep(
+        sorted(v["nu"]), sorted(v["epsilon"]),
+        {"k_f": v["k_f"], "n": (v["n"],) * 3, "seed": cfg.seed}, jobs=cfg.jobs)
+    unresolved = any(not r["resolved"] for r in tmap.rows)
+    return _jsonable(tmap.as_record()), tmap.monotone_in_nu(), unresolved
 
 
 def _run_all_acceptance(cfg: RunConfig) -> tuple[dict, bool, bool]:
@@ -484,8 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=Path("out"),
                     help="output directory for reports and CSV tables")
     ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for threshold sweep cells")
-    ap.add_argument("--seed", type=int, default=0, help="u64 RNG seed")
+                    help="worker processes for threshold sweep cells "
+                         "(at most one per cell)")
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64)")
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")
     args = ap.parse_args(argv)
@@ -507,6 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.config is not None:
             if not args.config.exists():
                 raise ConfigError(f"config file {args.config} does not exist")

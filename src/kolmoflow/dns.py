@@ -24,10 +24,15 @@ and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). Restart files
 hold the same half layout; `load_checkpoint` also reads files written in
 the earlier full-spectrum layout (last axis nz) by keeping their kz >= 0
 part.
+
+`run_threshold_sweep` is the one (nu, eps) sweep: the `threshold`
+subcommand and acceptance criterion 9 both call it, and it runs its cells
+serially or on a process pool of at most one worker per cell.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -448,12 +453,6 @@ def run_simulation(config: DNSConfig, sample_every: int = 25,
 class ThresholdMap:
     rows: list[dict] = field(default_factory=list)
 
-    def outcome(self, nu: float, eps: float) -> str:
-        for r in self.rows:
-            if r["nu"] == nu and r["epsilon"] == eps:
-                return r["outcome"]
-        raise KeyError((nu, eps))
-
     def eps_star(self, nu: float) -> float:
         """Largest swept amplitude that still decayed (0 if none)."""
         decayed = [r["epsilon"] for r in self.rows
@@ -481,26 +480,36 @@ class ThresholdMap:
                               for nu in sorted({r["nu"] for r in self.rows})}}
 
 
+def _sweep_row(cell: tuple[DNSConfig, int]) -> dict:
+    """One threshold-sweep cell, run from its config; module level, so a
+    process pool can send it to a worker."""
+    cfg, sample_every = cell
+    out = run_simulation(cfg, sample_every=sample_every)
+    return {"nu": cfg.nu, "gamma": cfg.gamma, "epsilon": cfg.epsilon, "seed": cfg.seed,
+            "outcome": out["outcome"], "rate_neq": out["rate_neq"],
+            "m0": out["m0"], "m1": out["m1"], "resolved": out["resolved"]}
+
+
 def run_threshold_sweep(nus, epsilons, template: dict | None = None,
-                        sample_every: int = 25) -> ThresholdMap:
+                        sample_every: int = 25, jobs: int = 1) -> ThresholdMap:
     """(nu, eps) outcome map; gamma follows the template (default gamma=nu).
 
-    Outcomes are deterministic given the seed. Monotonicity report: the
+    Cells run in (nu, eps) order, on a pool of min(jobs, cells) worker
+    processes when that is more than one; the pool maps over the built
+    configs, so a template's `gamma_of` never leaves this process. Rows come
+    back in cell order, and outcomes are deterministic given the seed, so
+    the map does not depend on `jobs`. Monotonicity report: the
     decayed/persisted boundary eps*(nu) must not decrease with nu.
     """
     template = dict(template or {})
     gamma_of = template.pop("gamma_of", lambda nu: nu)
-    tmap = ThresholdMap()
-    for nu in nus:
-        for eps in epsilons:
-            cfg = DNSConfig(nu=nu, gamma=gamma_of(nu), epsilon=eps, **template)
-            out = run_simulation(cfg, sample_every=sample_every)
-            tmap.rows.append({
-                "nu": nu, "gamma": cfg.gamma, "epsilon": eps, "seed": cfg.seed,
-                "outcome": out["outcome"], "rate_neq": out["rate_neq"],
-                "m0": out["m0"], "m1": out["m1"], "resolved": out["resolved"],
-            })
-    return tmap
+    cells = [(DNSConfig(nu=nu, gamma=gamma_of(nu), epsilon=eps, **template), sample_every)
+             for nu in nus for eps in epsilons]
+    workers = min(jobs, len(cells))
+    if workers <= 1:
+        return ThresholdMap(rows=[_sweep_row(c) for c in cells])
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return ThresholdMap(rows=list(pool.map(_sweep_row, cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,6 @@ class StepSizeError(RuntimeError):
 
 
 @dataclass
-class ModeState:
-    f: np.ndarray
-    g: np.ndarray
-    t: float
-
-
-@dataclass
 class Trajectory:
     times: np.ndarray
     norm_f: np.ndarray

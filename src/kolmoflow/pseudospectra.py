@@ -38,7 +38,6 @@ from scipy.linalg import lapack
 
 from .spectral import (
     ConfigurationError,
-    FourierGrid,
     ModeParams,
     OperatorMatrix,
     ResolventQuery,
@@ -57,21 +56,19 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class PsiQuery:
-    """Scan interval, coarse resolution and refinement tolerance for Psi."""
+    """Scan interval, coarse resolution and refinement tolerance for Psi;
+    the metric is an argument of `compute_psi`."""
 
     lam_lo: float
     lam_hi: float
     scan_count: int = 256
     refine_rtol: float = 1e-3
-    metric: str = "euclidean"  # or "star"
 
     def __post_init__(self):
         if not self.lam_lo < self.lam_hi:
             raise ConfigurationError("lam_lo must be < lam_hi")
         if self.scan_count < 16:
             raise ConfigurationError("scan count must be >= 16")
-        if self.metric not in ("euclidean", "star"):
-            raise ConfigurationError(f"unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -279,9 +276,11 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
                 extra_lams: np.ndarray | None = None) -> PsiResult:
     """Coarse scan + golden-section refinement of all interior local minima.
 
-    The metric is applied once per scan (restriction to `metric.keep`, then
-    the similarity W^(1/2) A W^(-1/2)) and each point only shifts the
-    result; the shift commutes with both, so this is exact up to rounding.
+    The scan is in the star metric if and only if `metric` is given, and in
+    the euclidean one otherwise. The metric is applied once per scan
+    (restriction to `metric.keep`, then the similarity W^(1/2) A W^(-1/2))
+    and each point only shifts the result; the shift commutes with both, so
+    this is exact up to rounding.
 
     If the transformed operator M is real, sigma_min is even in lam:
     conj(M - i*lam) = M + i*lam has the same singular values. Each distinct
@@ -293,10 +292,6 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
     mirrored pair, so lam_star <= 0. Any other operator is evaluated once per
     distinct lam. `sigma_evals` counts the sigma_min evaluations of the scan.
     """
-    if query.metric == "star" and metric is None:
-        raise ConfigurationError("star metric requested but none supplied")
-    if query.metric == "euclidean":
-        metric = None
     a = op
     if metric is not None:
         if metric.keep is not None:
@@ -467,8 +462,7 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
         n = _pick_n(delta)
     grid = build_grid(n, params, alpha=alpha_res)
     mode_l, mode_h = assemble_mode_operators(params, grid)
-    query = default_psi_query(params, scan_count=scan_count, refine_rtol=refine_rtol,
-                              metric="euclidean" if which == "H" else "star")
+    query = default_psi_query(params, scan_count=scan_count, refine_rtol=refine_rtol)
     if which == "H":
         return compute_psi(mode_h, query)
     if which == "L":

@@ -200,7 +200,6 @@ class OperatorMatrix:
 
     kind: str
     ab: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
@@ -254,38 +253,28 @@ class OperatorMatrix:
                 out[-k:] += v[: n + k] * x[: n + k]
         return out
 
-    def adjoint(self) -> "OperatorMatrix":
-        """Return A^* (conjugate transpose): A[i, j] moves to slot
-        (b + j - i, i)."""
-        inside, rows, cols = _band_index(self.b, self.n)
-        ab = np.zeros_like(self.ab)
-        ab[self.b + cols - rows, rows] = np.conj(self.ab[inside])
-        return OperatorMatrix(self.kind, ab, dict(self.meta))
-
     def shifted(self, lam: complex) -> "OperatorMatrix":
         """Return A - i*lam*I (the pseudospectral shift; a complex lam
         moves the real part of the spectrum too)."""
         ab = self.ab.copy()
         ab[self.b] -= 1j * lam
-        return OperatorMatrix(self.kind, ab, dict(self.meta))
+        return OperatorMatrix(self.kind, ab)
 
     def scaled_similarity(self, w_sqrt: np.ndarray) -> "OperatorMatrix":
         """Return W^(1/2) A W^(-1/2) for diagonal weights (w_sqrt = W^(1/2))."""
         inside, rows, cols = _band_index(self.b, self.n)
         ab = np.zeros_like(self.ab)
         ab[inside] = self.ab[inside] * w_sqrt[rows] / w_sqrt[cols]
-        return OperatorMatrix(self.kind, ab, dict(self.meta))
+        return OperatorMatrix(self.kind, ab)
 
     def restricted(self, keep: np.ndarray) -> "OperatorMatrix":
         """Restrict to the index subset `keep` (boolean mask). Dropping
         rows and columns never widens the band."""
         a = self.dense()[np.ix_(keep, keep)]
-        return OperatorMatrix.from_dense(a, self.kind, dict(self.meta),
-                                         bandwidth=self.bandwidth)
+        return OperatorMatrix.from_dense(a, self.kind, bandwidth=self.bandwidth)
 
     @classmethod
     def from_dense(cls, a: np.ndarray, kind: str = "Generic",
-                   meta: dict | None = None,
                    bandwidth: int | None = None) -> "OperatorMatrix":
         """Band array of `a`, as narrow as its nonzero diagonals allow; a
         caller that knows `a` has no entry beyond offset `bandwidth` passes
@@ -298,7 +287,7 @@ class OperatorMatrix:
         inside, rows, cols = _band_index(b, m)
         ab = np.zeros((2 * b + 1, m), dtype=complex)
         ab[inside] = a[rows, cols]
-        return cls(kind, ab, meta or {})
+        return cls(kind, ab)
 
 
 def _main_diagonal(v: np.ndarray) -> np.ndarray:
@@ -342,7 +331,7 @@ def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     n = grid.wavenumbers
     ab = (_main_diagonal((1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2)
           + (1j * a / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix("Nlambda", ab, {"alpha": a, "nu": nu, "lam": lam})
+    return OperatorMatrix("Nlambda", ab)
 
 
 def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGrid,
@@ -370,14 +359,12 @@ def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGr
             raise ConfigurationError("u-form requires beta_tilde > 0")
         hinv = 1.0 / (bt**2 + n**2)
         ab = _main_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b
-        return OperatorMatrix("Llambda", ab,
-                              {"alpha": a, "beta_tilde": bt, "nu": nu, "lam": lam, "form": "u"})
+        return OperatorMatrix("Llambda", ab)
     if b <= 0:
         raise ConfigurationError("Llambda requires beta > 0")
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
     ab = _main_diagonal(visc + c * (-lam)) + c * (sin_b * one_minus_h[None, :])
-    return OperatorMatrix("Llambda", ab,
-                          {"alpha": a, "beta": b, "nu": nu, "lam": lam, "form": "w"})
+    return OperatorMatrix("Llambda", ab)
 
 
 def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -394,10 +381,9 @@ def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[Oper
     n = grid.wavenumbers
     visc = _main_diagonal(nu * kf**2 * n.astype(complex) ** 2)
     sin_b = multiplication_matrix("sin", grid.n)
-    mode_h = OperatorMatrix("ModeH", visc + c * sin_b, {"params": params})
+    mode_h = OperatorMatrix("ModeH", visc + c * sin_b)
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    mode_l = OperatorMatrix("ModeL", visc + c * (sin_b * one_minus_h[None, :]),
-                            {"params": params, "beta": b})
+    mode_l = OperatorMatrix("ModeL", visc + c * (sin_b * one_minus_h[None, :]))
     return mode_l, mode_h
 
 
@@ -408,15 +394,15 @@ def assemble_L1(nu: float, beta: float, grid: FourierGrid) -> OperatorMatrix:
     n = grid.wavenumbers
     ab = (_main_diagonal(-nu * (n.astype(complex) ** 2 + 1.0))
           + (-1j * beta / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix("L1", ab, {"nu": nu, "beta": beta})
+    return OperatorMatrix("L1", ab)
 
 
 def mean_projections(grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(Q1, P1): Q1 zeroes the n=0 coefficient, P1 keeps only it."""
     q = (grid.wavenumbers != 0).astype(complex)
     return (
-        OperatorMatrix("QProj", q[None, :], {"which": "Q1"}),
-        OperatorMatrix("QProj", 1.0 - q[None, :], {"which": "P1"}),
+        OperatorMatrix("QProj", q[None, :]),
+        OperatorMatrix("QProj", 1.0 - q[None, :]),
     )
 
 

@@ -38,10 +38,6 @@ def u_of(y):
     return -np.cos(y)
 
 
-def du_of(y):
-    return np.sin(y)
-
-
 @dataclass
 class RayleighProfile:
     """phi1(., c) tabulated on the half grid [0, pi] plus endpoint data."""
@@ -58,16 +54,6 @@ class RayleighProfile:
     dphi1_pi: float
     dense_left: object
     dense_right: object
-
-    def value_at(self, y: float) -> float:
-        """phi1 at an arbitrary point (series near y_c, dense ODE solution
-        elsewhere)."""
-        s = y - self.y_c
-        eps = min(SERIES_RADIUS, 0.45 * min(self.y_c, np.pi - self.y_c))
-        if abs(s) <= eps:
-            return float(_series_eval(self.alpha, self.y_c, s)[0])
-        sol = self.dense_right if s > 0 else self.dense_left
-        return float(sol(y)[0])
 
     def check_invariants(self, tol: float = 1e-8) -> None:
         # normalization: the tabulated values next to y_c must match the
@@ -403,36 +389,6 @@ def _coarsen(fine: WaveOperator, n: int) -> WaveOperator:
     rows = np.searchsorted(fine.valid_half_idx, r * op.valid_half_idx)
     op._install_tables(fine.phi1_table[rows][:, ::r],
                        {k: v[rows] for k, v in fine.coeff.items()})
-    return op
-
-
-def apply_D2(omega: np.ndarray, alpha: float,
-             margin: float = ENDPOINT_MARGIN) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level convenience: D2(omega) with a cached operator table."""
-    op = get_wave_operator(alpha, len(omega), margin)
-    return op.apply_D2(omega)
-
-
-# ---------------------------------------------------------------------------
-# persistence: columnar profile cache
-# ---------------------------------------------------------------------------
-
-def save_profile_table(op: WaveOperator, path) -> None:
-    """Columnar cache: header scalars (alpha, margin), the c- and y-grids,
-    the row-major phi1 table and the per-c coefficient columns."""
-    np.savez(path, alpha=op.alpha, n=op.n, margin=op.margin,
-             y_half=op.y_half, y_c=op.y_c, phi1=op.phi1_table,
-             **{f"coef_{k}": v for k, v in op.coeff.items()})
-
-
-def load_wave_operator(path) -> WaveOperator:
-    data = np.load(path)
-    op = WaveOperator(float(data["alpha"]), int(data["n"]),
-                      float(data["margin"]), _defer=True)
-    if not np.allclose(op.y_c, data["y_c"]):
-        raise ConfigurationError("cached c-grid does not match the layout")
-    op._install_tables(data["phi1"],
-                       {k[5:]: data[k] for k in data.files if k.startswith("coef_")})
     return op
 
 

@@ -1,5 +1,6 @@
 """Config parsing, exit codes, envelopes and byte-identical reruns."""
 
+import concurrent.futures
 import csv
 import json
 
@@ -22,6 +23,7 @@ from kolmoflow.cli import (
     run_subcommand,
     write_report,
 )
+from kolmoflow.dns import run_threshold_sweep
 from kolmoflow.spectral import write_csv_table
 
 MINIMAL_PSI = """
@@ -197,6 +199,78 @@ class TestEndToEnd:
             assert doc["payload"]["monotone_in_nu"] is True
             payloads.append(payload_bytes(doc["payload"]))
         assert payloads[0] == payloads[1]  # --jobs never changes output bytes
+
+
+class TestSweepPoolAndSeed:
+    """`--jobs` sizes the sweep's pool by its cell count; `--jobs` and
+    `--seed` outside their ranges are configuration errors."""
+
+    TWO_CELLS = "nu = 0.1, 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"
+    CONFIGS = {
+        "evolve": "nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\nn = 48\n"
+                  "t_end = 12\ndt = 0.1\n",
+        "dns": "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = 0\nt_end = 1\n",
+        "threshold": TWO_CELLS,
+    }
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool: record max_workers, start no process,
+        and map the cells in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def run(self, tmp_path, sub, text, *flags):
+        cfgfile = tmp_path / f"{sub}.cfg"
+        cfgfile.write_text(text)
+        return main([sub, "--config", str(cfgfile), "--out", str(tmp_path / "o"), *flags])
+
+    def test_pool_is_bounded_by_the_cell_count(self, tmp_path, pool_sizes):
+        assert self.run(tmp_path, "threshold", self.TWO_CELLS,
+                        "--jobs", "5000") in (EXIT_OK, EXIT_RESOLUTION)
+        assert pool_sizes == [2]
+
+    def test_one_cell_runs_without_a_pool(self, tmp_path, pool_sizes):
+        one_cell = "nu = 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"
+        assert self.run(tmp_path, "threshold", one_cell,
+                        "--jobs", "8") in (EXIT_OK, EXIT_RESOLUTION)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("sub", ["evolve", "dns", "threshold"])
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-2"),
+                                             ("--seed", "-1"), ("--seed", str(2**64))])
+    def test_out_of_range_flag_is_a_config_error(self, tmp_path, capsys, sub, flag, value):
+        assert self.run(tmp_path, sub, self.CONFIGS[sub], flag, value) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and flag in err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        assert self.run(tmp_path, "dns", self.CONFIGS["dns"],
+                        "--seed", str(2**64 - 1)) == EXIT_OK
+
+    def test_threshold_payload_is_the_sweep_record(self, tmp_path):
+        assert self.run(tmp_path, "threshold", self.TWO_CELLS, "--seed", "4",
+                        "--jobs", "2") in (EXIT_OK, EXIT_RESOLUTION)
+        doc = json.loads((tmp_path / "o" / "threshold_report.json").read_text())
+        tmap = run_threshold_sweep([0.05, 0.1], [0.0],
+                                   {"k_f": 0.5, "n": (16, 16, 16), "seed": 4})
+        assert payload_bytes(doc["payload"]) == payload_bytes(tmap.as_record())
 
 
 class TestOutputFiles:

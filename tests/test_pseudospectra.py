@@ -52,8 +52,7 @@ def mode_psi_case(which, n, scan_count=64):
          ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0))
     grid = build_grid(n, p, alpha=p.k1 * p.gamma / p.k_f**4)
     mode_l, mode_h = assemble_mode_operators(p, grid)
-    query = default_psi_query(p, scan_count=scan_count,
-                              metric="euclidean" if which == "H" else "star")
+    query = default_psi_query(p, scan_count=scan_count)
     if which == "H":
         return mode_h, query, None
     if which == "L":

@@ -394,14 +394,13 @@ def test_operator_matrix_restriction_matches_dense_round_trip():
         assert all(np.array_equal(got.diags[k], want.diags[k]) for k in want.diags)
 
 
-def test_operator_matrix_block_matvec_and_adjoint():
+def test_operator_matrix_block_matvec():
     p = params_for(k_f=0.5, k1=1, k3=1)
     grid = build_grid(32, p)
     op = assemble_L_lambda(p, ResolventQuery.from_params(p, 0.3), grid)
     block = RNG.standard_normal((32, 3)) + 1j * RNG.standard_normal((32, 3))
     by_column = np.column_stack([op.matvec(block[:, j]) for j in range(3)])
     assert np.array_equal(op.matvec(block), by_column)
-    assert np.array_equal(op.adjoint().dense(), op.dense().conj().T)
 
 
 def test_operator_matrix_band_layout():
@@ -417,7 +416,6 @@ def test_operator_matrix_band_layout():
     assert list(op.diags) == [-2, -1, 0, 1, 2]
     assert all(np.array_equal(v, np.diagonal(a, k)) for k, v in op.diags.items())
     assert np.array_equal(op.dense(), a)
-    assert np.array_equal(op.adjoint().dense(), a.conj().T)
     w = 1.0 + RNG.random(9)
     assert np.array_equal(op.scaled_similarity(w).dense(), (w[:, None] * a) / w[None, :])
     assert np.array_equal(op.shifted(0.5).dense(), a - 0.5j * np.eye(9))
