@@ -9,7 +9,9 @@ verdict failures exit 1, numerical-resolution flags exit 3. `--seed` must
 lie in [0, 2**64) and `--jobs` must be at least 1 (exit 2 otherwise).
 
 `threshold` hands `--jobs` to `dns.run_threshold_sweep`, which owns the
-worker pool; the other subcommands ignore it.
+worker pool; the other subcommands ignore it. `evolve` advances the coupled
+mode system by its exact block exponential and has no method key, so a
+config that still sets `method` is rejected as an unknown key (exit 10).
 
 Every emitted file carries a report envelope. The envelope holds the tool
 version, a timestamp and the echoed config; rerunning with identical
@@ -88,7 +90,6 @@ SCHEMAS: dict[str, list[dict]] = {
         _typ("n", int, default=96, lo=16),
         _typ("t_end", float, default=20.0, lo=0.0, lo_strict=True),
         _typ("dt", float, default=0.05, lo=0.0, lo_strict=True),
-        _typ("method", str, default="block", choices=("block", "duhamel")),
     ],
     "alpha1": [
         _typ("nu", list, required=True),
@@ -351,8 +352,7 @@ def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool]:
     g0 = grid.random_coeffs(rng)
     f0 /= grid.norm_coeffs(f0)
     g0 /= grid.norm_coeffs(g0)
-    traj = ev.evolve_coupled(p, f0, g0, v["t_end"], v["dt"], grid=grid,
-                             method=v["method"])
+    traj = ev.evolve_coupled(p, f0, g0, v["t_end"], v["dt"], grid=grid)
     fit_f = ev.fit_decay_rate(traj, "f")
     fit_g = ev.fit_decay_rate(traj, "g", prefactor=True)
     write_csv_table(cfg.out_dir / "trajectory.csv",
@@ -500,26 +500,12 @@ def main(argv: list[str] | None = None) -> int:
             values = parse_config(args.config.read_text(), args.subcommand)
         else:
             values = parse_config("", args.subcommand)
-        cfg = RunConfig(subcommand=args.subcommand, values=values,
-                        out_dir=args.out, seed=args.seed, jobs=args.jobs)
-    except ConfigError as exc:
+        return run_subcommand(RunConfig(subcommand=args.subcommand, values=values,
+                                        out_dir=args.out, seed=args.seed,
+                                        jobs=args.jobs))
+    except (ConfigError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return exc.code
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from .evolution import StepSizeError
-
-    try:
-        return run_subcommand(cfg)
-    except (ConfigError,) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigurationError, StepSizeError) as exc:
-        # a Duhamel step too large for its quadrature is a setting to change
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(exc, "code", EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ serially or on a process pool of at most one worker per cell.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -311,10 +311,7 @@ class DiagnosticsFrame:
     m1: float
 
     def as_record(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "t", "v2_h2", "lap_v2_neq", "dx_omega2", "p0_v3_h1", "v_h2",
-            "a1", "a2", "a3", "liftup_residual", "recovery_residual",
-            "divergence", "tail_fraction", "m0", "m1")}
+        return asdict(self)
 
 
 def liftup_profile_residual(nu: float, gamma: float, k_f: float, a2: float) -> float:

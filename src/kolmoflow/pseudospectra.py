@@ -50,7 +50,9 @@ from .spectral import (
 )
 
 DENSE_SVD_MAX = 64
+PSI_SCAN_MARGIN = 0.5
 _BRACKET_RTOL = 1e-9
+_N_MIN, _N_MAX = 64, 4096
 _EPS = np.finfo(float).eps
 
 
@@ -263,9 +265,10 @@ def _golden_refine(f, a: float, b: float, rtol: float, max_iter: int = 120):
     return d, fd, b - a
 
 
-def default_psi_query(params: ModeParams, margin: float = 0.5, **kw) -> PsiQuery:
-    """Scan +-1.5*|shear|*(1+margin): the skew numerical range is +-|shear|."""
-    half = 1.5 * abs(params.shear) * (1.0 + margin)
+def default_psi_query(params: ModeParams, **kw) -> PsiQuery:
+    """Scan +-1.5*|shear|*(1+PSI_SCAN_MARGIN): the skew numerical range is
+    +-|shear|."""
+    half = 1.5 * abs(params.shear) * (1.0 + PSI_SCAN_MARGIN)
     if half == 0.0:
         half = 1.0
     return PsiQuery(lam_lo=-half, lam_hi=half, **kw)
@@ -372,9 +375,9 @@ def pseudospectrum_grid(op: OperatorMatrix, rect: tuple[float, float, float, flo
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _pick_n(delta: float, n_min: int = 64, n_max: int = 4096) -> int:
-    n = n_min
-    while n < 8.0 / delta and n < n_max:
+def _pick_n(delta: float) -> int:
+    n = _N_MIN
+    while n < 8.0 / delta and n < _N_MAX:
         n *= 2
     return n
 
@@ -383,19 +386,23 @@ def _decade_key(alpha: float) -> int:
     return int(np.floor(np.log10(abs(alpha)) + 1e-12))
 
 
-def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
-                          n_max: int = 4096) -> tuple[EmpiricalConstants, list[dict]]:
+def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
+                          ) -> tuple[EmpiricalConstants, list[dict]]:
     """Normalized resolvent lower-bound table over a (nu, alpha, lambda[, beta]) sweep.
 
     For each point computes r = sigma_min / (sqrt|alpha| * factor), factor
     being (1 - beta^(-2)) for the w-form nonlocal operator and 1 otherwise.
     C_hat is the smallest r over adequately resolved points; decade stability
-    is max/min of the per-alpha-decade lower envelopes.
+    is max/min of the per-alpha-decade lower envelopes. The nonlocal sweeps
+    need every beta > 1 (beta_tilde = sqrt(beta^2 - 1) and 1 - beta^(-2) > 0).
     """
     if kind not in ("Nlambda", "Llambda", "Lu-form"):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if kind != "Nlambda" and not betas:
         raise ConfigurationError("beta list required for the nonlocal sweeps")
+    if kind != "Nlambda" and min(betas) <= 1.0:
+        raise ConfigurationError(
+            f"the nonlocal sweeps need every beta > 1, got {min(betas)}")
     rows: list[dict] = []
     beta_list = [None] if kind == "Nlambda" else list(betas)
     for nu in nus:
@@ -406,7 +413,7 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
                 continue
             params = ModeParams(nu=nu, gamma=max(abs(alpha), 1.0), k_f=1.0, k1=1, k3=0)
             delta = abs(alpha) ** -0.25 * np.sqrt(nu)
-            n = _pick_n(delta, n_max=n_max)
+            n = _pick_n(delta)
             grid = build_grid(n, params, alpha=alpha)
             inadequate = not grid.adequate
             for beta in beta_list:
@@ -450,7 +457,7 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None,
 
 
 def psi_for_params(params: ModeParams, which: str, n: int | None = None,
-                   scan_count: int = 128, refine_rtol: float = 1e-3) -> PsiResult:
+                   scan_count: int = 128) -> PsiResult:
     """Psi of one mode operator; which in {"H", "L", "Q1L"}.
 
     "H" uses the euclidean metric; "L" the beta>1 star metric; "Q1L" the
@@ -462,7 +469,7 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
         n = _pick_n(delta)
     grid = build_grid(n, params, alpha=alpha_res)
     mode_l, mode_h = assemble_mode_operators(params, grid)
-    query = default_psi_query(params, scan_count=scan_count, refine_rtol=refine_rtol)
+    query = default_psi_query(params, scan_count=scan_count)
     if which == "H":
         return compute_psi(mode_h, query)
     if which == "L":

@@ -146,9 +146,6 @@ class FourierGrid:
     def norm_coeffs(self, c: np.ndarray) -> float:
         return np.sqrt(TWO_PI) * np.linalg.norm(c)
 
-    def norm_grid(self, values: np.ndarray) -> float:
-        return np.sqrt(TWO_PI / self.n) * np.linalg.norm(values)
-
     def l1_norm_grid(self, values: np.ndarray) -> float:
         return (TWO_PI / self.n) * np.sum(np.abs(values))
 

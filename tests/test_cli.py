@@ -136,15 +136,29 @@ class TestEndToEnd:
         assert main(["psi", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_duhamel_step_too_large_is_a_config_error(self, tmp_path, capsys):
+    def test_evolve_method_key_is_unknown(self, tmp_path, capsys):
+        # evolve has one stepper, the block exponential, and no method key
         cfgfile = tmp_path / "evolve.cfg"
         cfgfile.write_text("nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\n"
-                           "n = 48\nt_end = 12\ndt = 0.1\nmethod = duhamel\n")
+                           "n = 48\nt_end = 12\ndt = 0.1\nmethod = block\n")
         code = main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
                      "--seed", "3"])
-        assert code == EXIT_CONFIG
+        assert code == EXIT_UNKNOWN_KEY
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "reduce dt" in err
+        assert err.startswith("configuration error: line 9: unknown key 'method'")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["Llambda", "Lu-form"])
+    @pytest.mark.parametrize("betas", ["0.5", "2,1"])
+    def test_nonlocal_sweep_rejects_beta_at_most_one(self, tmp_path, capsys, kind, betas):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"kind = {kind}\nnu = 0.01\nalpha = 10, 100\n"
+                           f"lambda = 0, 0.75\nbeta = {betas}\n")
+        out = tmp_path / "o"
+        code = main(["resolvent-sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "every beta > 1" in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
     def test_dns_epsilon_zero_trivially_passes(self, tmp_path):
         cfgfile = tmp_path / "dns.cfg"

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from kolmoflow.spectral import (
+    ConfigurationError,
     ModeParams,
     OperatorMatrix,
     StarMetric,
@@ -16,7 +17,6 @@ from kolmoflow.evolution import (
     DecayFit,
     ForcingSpec,
     NormAccumulators,
-    StepSizeError,
     Trajectory,
     alpha1_generator,
     alpha1_suite,
@@ -106,27 +106,26 @@ class TestEvolveCoupled:
         want = np.exp(-vals[idx].real * traj.times) * traj.norm_f[0]
         assert np.max(np.abs(traj.norm_f - want) / want) <= 1e-8
 
-    def test_block_vs_duhamel(self):
+    def test_block_matches_ode_oracle(self):
+        # adaptive integration of d/dt (f, g) = (-A_L f, C f - A_H g)
         p = ModeParams(nu=0.05, gamma=0.4, k_f=1.0, k1=1, k3=1)
         grid = build_grid(64, p)
         f0 = grid.random_coeffs(RNG)
         g0 = grid.random_coeffs(RNG)
-        t1 = evolve_coupled(p, f0, g0, 0.6, 0.005, grid=grid, method="block",
-                            store_states=True)
-        t2 = evolve_coupled(p, f0, g0, 0.6, 0.005, grid=grid, method="duhamel",
-                            store_states=True)
-        num = np.linalg.norm(t1.g_states[-1] - t2.g_states[-1])
-        den = np.linalg.norm(t1.g_states[-1])
-        assert num / den <= 1e-8
-        assert np.linalg.norm(t1.f_states[-1] - t2.f_states[-1]) <= 1e-10 * den
+        traj = evolve_coupled(p, f0, g0, 0.6, 0.005, grid=grid, store_states=True)
+        a_l, a_h, coupling = coupled_generators(p, grid)
+        n = grid.n
 
-    def test_duhamel_step_rejection(self):
-        p = self.params()
-        grid = build_grid(48, p)
-        f0 = grid.random_coeffs(RNG)
-        with pytest.raises(StepSizeError):
-            evolve_coupled(p, f0, f0, 8.0, 4.0, grid=grid, method="duhamel",
-                           duhamel_tol=1e-14)
+        def rhs(_, x):
+            f, g = x[:n], x[n:]
+            return np.concatenate([-a_l @ f, coupling @ f - a_h @ g])
+
+        sol = solve_ivp(rhs, (0.0, 0.6), np.concatenate([f0, g0]).astype(complex),
+                        method="DOP853", rtol=1e-11, atol=1e-12)
+        f_want, g_want = sol.y[:n, -1], sol.y[n:, -1]
+        den = np.linalg.norm(g_want)
+        assert np.linalg.norm(traj.g_states[-1] - g_want) / den <= 1e-8
+        assert np.linalg.norm(traj.f_states[-1] - f_want) <= 1e-10 * den
 
     def test_star_contraction_along_modeL_flow(self):
         p = self.params()
@@ -174,6 +173,13 @@ class TestSemigroupCurve:
         t_max = 20.0 / np.sqrt(p.gamma)
         out = semigroup_norm_curve(mh, np.linspace(0.0, t_max, 41), psi)
         assert out["verdict"]
+
+    def test_non_uniform_times_rejected(self):
+        a = np.diag([1.0, 3.0])
+        psi = compute_psi(OperatorMatrix.from_dense(a), PsiQuery(-2, 2, scan_count=32))
+        for times in (np.array([0.0, 0.5, 2.0, 3.0]), np.linspace(1.0, 5.0, 9)):
+            with pytest.raises(ConfigurationError):
+                semigroup_norm_curve(a, times, psi)
 
     def test_modeL_requires_metric(self):
         p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)

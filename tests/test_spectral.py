@@ -61,7 +61,8 @@ class TestGrid:
         grid = build_grid(32, params_for())
         c = grid.random_coeffs(RNG)
         w = grid.to_grid(c)
-        assert grid.norm_grid(w) == pytest.approx(grid.norm_coeffs(c), rel=1e-12)
+        assert np.sqrt(2 * np.pi / grid.n) * np.linalg.norm(w) == pytest.approx(
+            grid.norm_coeffs(c), rel=1e-12)
 
 
 class TestModeParams:
