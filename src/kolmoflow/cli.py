@@ -13,25 +13,31 @@ worker pool; the other subcommands ignore it. `evolve` advances the coupled
 mode system by its exact block exponential and has no method key, so a
 config that still sets `method` is rejected as an unknown key (exit 10).
 
-Every emitted file carries a report envelope. The envelope holds the tool
-version, a timestamp and the echoed config; rerunning with identical
-config and seed reproduces the payload section byte for byte (the
-timestamp lives only in the envelope header).
+This module alone knows the report file format. Every emitted file carries
+one envelope, {tool, version, timestamp, config}: a JSON report holds it as
+its `envelope` section, and a CSV table's first line is `# envelope: `
+followed by the same dict as compact sorted JSON. `check-report` applies the
+same field and `tool == "kolmoflow"` checks to both. Rerunning with
+identical config and seed reproduces the payload section and every CSV body
+byte for byte (the timestamp lives only in the envelope). A subcommand
+computes everything before it writes anything, so a configuration error
+leaves no output directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .spectral import ConfigurationError, ModeParams, build_grid, write_csv_table
+from .spectral import ConfigurationError, ModeParams, build_grid
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -239,54 +245,72 @@ def payload_bytes(payload: dict) -> bytes:
                       separators=(",", ":")).encode()
 
 
-def write_report(path: Path, config: RunConfig, payload: dict, passed: bool) -> None:
-    envelope = {
-        "tool": "kolmoflow",
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": _jsonable(config.echo()),
-    }
+def _envelope(cfg: RunConfig) -> dict:
+    return {"tool": "kolmoflow",
+            "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "config": _jsonable(cfg.echo())}
+
+
+def write_report(path: Path, envelope: dict, payload: dict, passed: bool) -> None:
     doc = {"envelope": envelope,
            "payload": json.loads(payload_bytes(payload).decode()),
            "summary": {"passed": bool(passed)}}
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _csv_envelope(cfg: RunConfig) -> list[str]:
-    """Header line of a CSV table: the envelope as a `# envelope:` comment."""
-    return ["envelope: " + payload_bytes({"config": cfg.echo(),
-                                          "version": __version__}).decode()]
+CSV_ENVELOPE = "# envelope: "
+
+
+def _csv_cell(x) -> str:
+    """One CSV cell. Real numbers, numpy scalars included, are written as
+    repr(float(x)), which float() reads back exactly; None is empty."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def write_csv_table(path: Path, columns: list[str], rows, envelope: dict) -> None:
+    """Write the envelope line, the column row, then one row per sequence."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_ENVELOPE + payload_bytes(envelope).decode() + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([_csv_cell(x) for x in row] for row in rows)
 
 
 def check_report(path: Path) -> dict:
-    """Validate an emitted report; accepts the JSON reports and the CSV
-    tables (whose first line carries the envelope as a # comment). A CSV
+    """Validate an emitted report: a JSON report, or a CSV table whose first
+    line carries the same envelope. Both must name tool "kolmoflow". A CSV
     table carries no verdict, so its summary reads passed: None."""
     text = Path(path).read_text()
     if text.startswith("#"):
-        first, rest = text.split("\n", 1)
-        marker = "envelope:"
-        if marker not in first:
+        first, _, rest = text.partition("\n")
+        if not first.startswith(CSV_ENVELOPE):
             raise ConfigError("CSV report lacks an envelope header")
-        env = json.loads(first.split(marker, 1)[1])
-        header = rest.splitlines()[0] if rest.strip() else ""
+        header = rest.split("\n", 1)[0]
         if "," not in header:
             raise ConfigError("CSV report lacks a column header row")
-        return {"envelope": {"tool": "kolmoflow",
-                             "version": env.get("version", ""),
-                             "timestamp": "", "config": env.get("config", {})},
-                "payload": {"columns": header.split(",")},
-                "summary": {"passed": None}}
-    doc = json.loads(text)
-    for section in ("envelope", "payload", "summary"):
-        if section not in doc:
-            raise ConfigError(f"report missing section {section!r}")
-    env = doc["envelope"]
+        doc = {"envelope": json.loads(first[len(CSV_ENVELOPE):]),
+               "payload": {"columns": header.split(",")},
+               "summary": {"passed": None}}
+    else:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigError("report is not a JSON object")
+        for section in ("envelope", "payload", "summary"):
+            if section not in doc:
+                raise ConfigError(f"report missing section {section!r}")
+        if not isinstance(doc["summary"], dict) or "passed" not in doc["summary"]:
+            raise ConfigError("report summary lacks 'passed'")
+    env = doc["envelope"] if isinstance(doc["envelope"], dict) else {}
     for key in ("tool", "version", "timestamp", "config"):
         if key not in env:
             raise ConfigError(f"envelope missing field {key!r}")
     if env["tool"] != "kolmoflow":
         raise ConfigError(f"not a kolmoflow report: tool={env['tool']!r}")
+    if not isinstance(env["config"], dict):
+        raise ConfigError("envelope config is not a mapping")
     return doc
 
 
@@ -294,58 +318,68 @@ def check_report(path: Path) -> dict:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool]:
+# A runner returns (payload, passed, resolution_flag, tables); `tables` maps
+# a CSV file name to (columns, rows). Runners write nothing: run_subcommand
+# writes every file once the runner has returned.
+
+SWEEP_COLUMNS = ["kind", "which", "nu", "gamma", "k_f", "k1", "k3", "alpha", "beta",
+                 "lam", "lam_star", "n", "sigma_min", "psi", "ratio", "flag"]
+
+
+def _mode_params(v: dict) -> ModeParams:
+    return ModeParams(nu=v["nu"], gamma=v["gamma"], k_f=v["k_f"],
+                      k1=int(v["k1"]), k3=int(v["k3"]))
+
+
+def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import pseudospectra as ps
     v = cfg.values
-    p = ModeParams(nu=v["nu"], gamma=v["gamma"], k_f=v["k_f"],
-                   k1=int(v["k1"]), k3=int(v["k3"]))
-    res = ps.psi_for_params(p, v["operator"], n=v["n"], scan_count=v["scan_count"])
+    res = ps.psi_for_params(_mode_params(v), v["operator"], n=v["n"],
+                            scan_count=v["scan_count"])
     table = [{"lam": float(l), "sigma_min": float(s)}
              for l, s in zip(res.lam_grid, res.sigma_grid)]
-    write_csv_table(cfg.out_dir / "psi_scan.csv", ["lam", "sigma_min"],
-                    ((row["lam"], row["sigma_min"]) for row in table), _csv_envelope(cfg))
     payload = {"psi": res.as_record(), "scan": table}
-    return payload, res.psi > 0, not res.converged
+    tables = {"psi_scan.csv": (["lam", "sigma_min"], zip(res.lam_grid, res.sigma_grid))}
+    return payload, res.psi > 0, not res.converged, tables
 
 
-def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import pseudospectra as ps
     v = cfg.values
     betas = v["beta"] or None
     c_hat, rows = ps.resolvent_bound_sweep(
         v["kind"], v["nu"], v["alpha"], v["lambda"], betas=betas)
-    ps.write_sweep_csv(rows, cfg.out_dir / "resolvent_sweep.csv",
-                       header_lines=_csv_envelope(cfg))
     flagged = [r for r in rows if r.get("flag")]
     payload = {"C_hat": c_hat.as_record(),
                "rows": [{k: _jsonable(val) for k, val in r.items()} for r in rows]}
     good = [r for r in rows if not r.get("flag")]
     passed = c_hat.value > 0 and c_hat.decade_ratio <= 3.0 and \
         all(r["ratio"] > 0 for r in good)
-    return payload, passed, bool(flagged)
+    tables = {"resolvent_sweep.csv": (
+        SWEEP_COLUMNS, [[r.get(c) for c in SWEEP_COLUMNS] for r in rows])}
+    return payload, passed, bool(flagged), tables
 
 
-def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import pseudospectra as ps
     from .spectral import assemble_mode_operators
     v = cfg.values
-    p = ModeParams(nu=v["nu"], gamma=v["gamma"], k_f=v["k_f"],
-                   k1=int(v["k1"]), k3=int(v["k3"]))
-    grid = build_grid(v["n"], p)
-    _, mh = assemble_mode_operators(p, grid)
+    p = _mode_params(v)
+    _, mh = assemble_mode_operators(p, build_grid(v["n"], p))
     field = ps.pseudospectrum_grid(
         mh, (v["re_lo"], v["re_hi"], v["im_lo"], v["im_hi"]), (v["nx"], v["ny"]))
-    field.write_csv(cfg.out_dir / "pseudospectrum.csv", header_lines=_csv_envelope(cfg))
     payload = {"min_sigma": float(field.sigma.min()),
                "max_sigma": float(field.sigma.max()),
                "shape": list(field.sigma.shape)}
-    return payload, True, False
+    rows = [(a, b, field.sigma[i, j])
+            for i, b in enumerate(field.im) for j, a in enumerate(field.re)]
+    return payload, True, False, {"pseudospectrum.csv": (["re", "im", "sigma_min"], rows)}
 
-def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool]:
+
+def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import evolution as ev
     v = cfg.values
-    p = ModeParams(nu=v["nu"], gamma=v["gamma"], k_f=v["k_f"],
-                   k1=int(v["k1"]), k3=int(v["k3"]))
+    p = _mode_params(v)
     grid = build_grid(v["n"], p)
     rng = np.random.default_rng(cfg.seed)
     f0 = grid.random_coeffs(rng)
@@ -355,17 +389,17 @@ def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool]:
     traj = ev.evolve_coupled(p, f0, g0, v["t_end"], v["dt"], grid=grid)
     fit_f = ev.fit_decay_rate(traj, "f")
     fit_g = ev.fit_decay_rate(traj, "g", prefactor=True)
-    write_csv_table(cfg.out_dir / "trajectory.csv",
-                    ["t", "norm_f", "norm_g", "norm_q1f", "norm_p1f", "norm_dyf"],
-                    zip(traj.times, traj.norm_f, traj.norm_g, traj.norm_q1f,
-                        traj.norm_p1f, traj.norm_dyf), _csv_envelope(cfg))
     kappa2 = p.k1**2 + p.k3**2
     payload = {"fit_f": fit_f.as_record(), "fit_g": fit_g.as_record(),
                "nu_kappa2": p.nu * kappa2}
-    return payload, fit_f.rate >= p.nu * kappa2, False
+    tables = {"trajectory.csv": (
+        ["t", "norm_f", "norm_g", "norm_q1f", "norm_p1f", "norm_dyf"],
+        zip(traj.times, traj.norm_f, traj.norm_g, traj.norm_q1f,
+            traj.norm_p1f, traj.norm_dyf))}
+    return payload, fit_f.rate >= p.nu * kappa2, False, tables
 
 
-def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import evolution as ev
     v = cfg.values
     rows = []
@@ -377,10 +411,10 @@ def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool]:
                          if k not in ("times", "norm_q1f", "norm_p1f")})
     passed = all(r["conservation_drift"] <= 1e-8 and r["lowerb_ratio"] > 0
                  and r["q1_rate"] >= r["nu"] for r in rows)
-    return {"rows": rows}, passed, False
+    return {"rows": rows}, passed, False, {}
 
 
-def _run_waveop(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_waveop(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import waveop as wv
     v = cfg.values
     levels = [int(x) for x in v["levels"]]
@@ -390,10 +424,10 @@ def _run_waveop(cfg: RunConfig) -> tuple[dict, bool, bool]:
                             ensemble=int(v["ensemble"]))
     payload = {"intertwining": _jsonable(inter["rows"]),
                "bound_stability": _jsonable(bounds["stability"])}
-    return payload, inter["passed"] and bounds["passed"], False
+    return payload, inter["passed"] and bounds["passed"], False, {}
 
 
-def _run_dns(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_dns(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import dns
     v = cfg.values
     kw = {}
@@ -404,29 +438,30 @@ def _run_dns(cfg: RunConfig) -> tuple[dict, bool, bool]:
     c = dns.DNSConfig(nu=v["nu"], gamma=v["gamma"], k_f=v["k_f"],
                       n=(v["n"],) * 3, epsilon=v["epsilon"], seed=cfg.seed, **kw)
     out = dns.run_simulation(c)
-    out["tracker"].write_csv(cfg.out_dir / "dns_diagnostics.csv",
-                             header_lines=_csv_envelope(cfg))
     payload = {"outcome": out["outcome"], "rate_neq": _jsonable(out["rate_neq"]),
                "m0": out["m0"], "m1": out["m1"],
                "m0_over_v0": out["m0_over_v0"], "resolved": out["resolved"]}
     passed = out["outcome"] != "blew-up(numerical)" if v["epsilon"] > 0 else True
-    return payload, passed, not out["resolved"]
+    tables = {"dns_diagnostics.csv": (
+        [f.name for f in fields(dns.DiagnosticsFrame)],
+        [astuple(fr) for fr in out["tracker"].frames])}
+    return payload, passed, not out["resolved"], tables
 
 
-def _run_threshold(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_threshold(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import dns
     v = cfg.values
     tmap = dns.run_threshold_sweep(
         sorted(v["nu"]), sorted(v["epsilon"]),
         {"k_f": v["k_f"], "n": (v["n"],) * 3, "seed": cfg.seed}, jobs=cfg.jobs)
     unresolved = any(not r["resolved"] for r in tmap.rows)
-    return _jsonable(tmap.as_record()), tmap.monotone_in_nu(), unresolved
+    return _jsonable(tmap.as_record()), tmap.monotone_in_nu(), unresolved, {}
 
 
-def _run_all_acceptance(cfg: RunConfig) -> tuple[dict, bool, bool]:
+def _run_all_acceptance(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import acceptance
     out = acceptance.run_all(fast=bool(cfg.values.get("fast")))
-    return _jsonable(out), out["passed"], False
+    return _jsonable(out), out["passed"], False, {}
 
 
 RUNNERS = {
@@ -443,11 +478,14 @@ RUNNERS = {
 
 
 def run_subcommand(cfg: RunConfig) -> int:
-    """Dispatch a parsed RunConfig; writes the report and returns the exit code."""
+    """Run a parsed RunConfig, then write its tables and report; returns the exit code."""
+    payload, passed, res_flag, tables = RUNNERS[cfg.subcommand](cfg)
+    envelope = _envelope(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    payload, passed, res_flag = RUNNERS[cfg.subcommand](cfg)
+    for name, (columns, rows) in tables.items():
+        write_csv_table(cfg.out_dir / name, columns, rows, envelope)
     write_report(cfg.out_dir / f"{cfg.subcommand.replace('-', '_')}_report.json",
-                 cfg, payload, passed)
+                 envelope, payload, passed)
     if not passed:
         return EXIT_VERDICT
     if res_flag:

@@ -33,11 +33,11 @@ serially or on a process pool of at most one worker per cell.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import ConfigurationError, write_csv_table
+from .spectral import ConfigurationError
 
 TAIL_FRACTION_LIMIT = 1e-6
 DECAY_ENERGY_RATIO = 1e-8   # x-dependent energy drop that counts as decayed
@@ -310,9 +310,6 @@ class DiagnosticsFrame:
     m0: float
     m1: float
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 def liftup_profile_residual(nu: float, gamma: float, k_f: float, a2: float) -> float:
     """Closed-form steady lift-up profile: residual of
@@ -383,11 +380,6 @@ class DiagnosticsTracker:
         )
         self.frames.append(fr)
         return fr
-
-    def write_csv(self, path, header_lines=None) -> None:
-        cols = list(self.frames[0].as_record()) if self.frames else []
-        write_csv_table(path, cols, (fr.as_record().values() for fr in self.frames),
-                        header_lines)
 
 
 # ---------------------------------------------------------------------------

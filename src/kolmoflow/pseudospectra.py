@@ -46,7 +46,6 @@ from .spectral import (
     assemble_mode_operators,
     assemble_N_lambda,
     build_grid,
-    write_csv_table,
 )
 
 DENSE_SVD_MAX = 64
@@ -100,11 +99,6 @@ class PseudospectrumField:
     re: np.ndarray
     im: np.ndarray
     sigma: np.ndarray  # sigma[i, j] = sigma_min(A - (re[j] + i*im[i]))
-
-    def write_csv(self, path, header_lines: list[str] | None = None) -> None:
-        rows = ((a, b, self.sigma[i, j])
-                for i, b in enumerate(self.im) for j, a in enumerate(self.re))
-        write_csv_table(path, ["re", "im", "sigma_min"], rows, header_lines)
 
 
 @dataclass
@@ -511,8 +505,3 @@ def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",
     )
     return c_hat, rows
 
-
-def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
-    cols = ["kind", "which", "nu", "gamma", "k_f", "k1", "k3", "alpha", "beta",
-            "lam", "lam_star", "n", "sigma_min", "psi", "ratio", "flag"]
-    write_csv_table(path, cols, ([r.get(c) for c in cols] for r in rows), header_lines)

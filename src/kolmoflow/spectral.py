@@ -12,7 +12,6 @@ values via the quadrature weight 2*pi/N.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -441,24 +440,3 @@ class StarMetric:
         w = self.weights if self.keep is None else self.weights[self.keep]
         return TWO_PI * np.sum(cc * np.conj(dd) * w)
 
-
-# ---------------------------------------------------------------------------
-# CSV tables (shared by every module that writes one)
-# ---------------------------------------------------------------------------
-
-def _csv_cell(x) -> str:
-    """One CSV cell. Real numbers, numpy scalars included, are written as
-    repr(float(x)), which float() reads back exactly; None is empty."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return "" if x is None else str(x)
-
-
-def write_csv_table(path, columns: list[str], rows, header_lines: list[str] | None = None) -> None:
-    """Write `# line` comments, the column row, then one row per sequence."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows([_csv_cell(x) for x in row] for row in rows)

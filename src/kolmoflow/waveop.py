@@ -599,35 +599,39 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     def to_wave_grid(coeffs):
         return np.roll(grid.to_grid(coeffs), -m)
 
-    g1s, masks, rhss, fnorms = [], [], [], []
     scale = 1j * params.k1 * params.gamma / (params.k_f**2 * params.nu)
     kappa2 = params.k1**2 + params.k3**2
     couple = params.k3 / (params.k1 * params.k_f)
     rhs_scale = params.nu * params.k_f * params.k3 / params.k1
+
+    def corrected(f_full, g_full):
+        """(g1, filled D2(f), its mask) on the wave grid; g1 = g when k3 = 0."""
+        if not use_wave:
+            return g_full, None, np.ones(n, dtype=bool)
+        d2f, mask = op.apply_D2(f_full)
+        d2f_filled = fill_masked(d2f, mask, y)
+        return g_full + couple * np.cos(y) * d2f_filled, d2f_filled, mask
+
+    g1s, masks, rhss, fnorms = [], [], [], []
     for f_c, g_c in zip(traj.f_states, traj.g_states):
         f_full = to_wave_grid(f_c)
         g_full = to_wave_grid(g_c)
+        g1, d2f_filled, mask = corrected(f_full, g_full)
+        fnorms.append(np.sqrt(h * np.sum(np.abs(f_full) ** 2))
+                      + np.sqrt(h * np.sum(np.abs(g_full) ** 2)))
+        g1s.append(g1)
         if not use_wave:
-            g1s.append(g_full)
-            masks.append(np.ones(n, dtype=bool))
+            masks.append(mask)
             rhss.append(np.zeros(n, dtype=complex))
-            fnorms.append(np.sqrt(h * np.sum(np.abs(f_full) ** 2))
-                          + np.sqrt(h * np.sum(np.abs(g_full) ** 2)))
             continue
-        d2f, mask = op.apply_D2(f_full)
-        d2f_filled = fill_masked(d2f, mask, y)
-        g1 = g_full + couple * np.cos(y) * d2f_filled
         # commutator right-hand side
         fpp_full = to_wave_grid(-(grid.wavenumbers**2) * f_c)
         d2_fpp, mask2 = op.apply_D2(fpp_full)
         cos_d2f = np.cos(y) * d2f_filled
         lap_cos_d2f, mask3 = fd_derivative(cos_d2f, mask, h, order=2)
         rhs = rhs_scale * (np.cos(y) * fill_masked(d2_fpp, mask2, y) - lap_cos_d2f)
-        g1s.append(g1)
         masks.append(mask & mask2 & mask3)
         rhss.append(rhs)
-        fnorms.append(np.sqrt(h * np.sum(np.abs(f_full) ** 2))
-                      + np.sqrt(h * np.sum(np.abs(g_full) ** 2)))
     g1s = np.array(g1s)
     rhss = np.array(rhss)
     res_max = 0.0
@@ -654,9 +658,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
                                store_states=True)
         norms_g1 = []
         for f_c, g_c in zip(traj2.f_states, traj2.g_states):
-            f_full = to_wave_grid(f_c)
-            d2f, mask = op.apply_D2(f_full)
-            g1 = to_wave_grid(g_c) + couple * np.cos(y) * fill_masked(d2f, mask, y)
+            g1 = corrected(to_wave_grid(f_c), to_wave_grid(g_c))[0]
             norms_g1.append(np.sqrt(h * np.sum(np.abs(g1) ** 2)))
         zeros = np.zeros_like(traj2.times)
         synth = Trajectory(times=traj2.times, norm_f=np.array(norms_g1),

@@ -16,15 +16,16 @@ from kolmoflow.cli import (
     EXIT_UNKNOWN_KEY,
     ConfigError,
     RunConfig,
+    _envelope,
     check_report,
     main,
     parse_config,
     payload_bytes,
     run_subcommand,
+    write_csv_table,
     write_report,
 )
 from kolmoflow.dns import run_threshold_sweep
-from kolmoflow.spectral import write_csv_table
 
 MINIMAL_PSI = """
 # minimal psi configuration
@@ -83,7 +84,7 @@ class TestParseConfig:
 class TestEnvelope:
     def test_report_roundtrip(self, tmp_path):
         cfg = RunConfig(subcommand="psi", values={"nu": 0.01}, out_dir=tmp_path)
-        write_report(tmp_path / "r.json", cfg, {"x": 1.5}, True)
+        write_report(tmp_path / "r.json", _envelope(cfg), {"x": 1.5}, True)
         doc = check_report(tmp_path / "r.json")
         assert doc["summary"]["passed"] is True
         assert doc["envelope"]["config"]["subcommand"] == "psi"
@@ -93,11 +94,26 @@ class TestEnvelope:
         b = payload_bytes({"a": [1, 2], "b": 2.5})
         assert a == b
 
+    GOOD_ENVELOPE = {"tool": "kolmoflow", "version": "0.1.0", "timestamp": "t",
+                     "config": {}}
+
     def test_check_report_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"envelope": {}}))
         with pytest.raises(ConfigError):
             check_report(p)
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        {"envelope": {**GOOD_ENVELOPE, "config": []}, "payload": {},
+         "summary": {"passed": True}},
+        {"envelope": GOOD_ENVELOPE, "payload": {}, "summary": 5},
+    ], ids=["number", "config-list", "summary-number"])
+    def test_check_report_rejects_malformed_json(self, tmp_path, doc):
+        # a malformed report is a configuration error, not a traceback
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check-report", "--report", str(p)]) == EXIT_CONFIG
 
 
 class TestEndToEnd:
@@ -158,7 +174,7 @@ class TestEndToEnd:
         code = main(["resolvent-sweep", "--config", str(cfgfile), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "every beta > 1" in capsys.readouterr().err
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
     def test_dns_epsilon_zero_trivially_passes(self, tmp_path):
         cfgfile = tmp_path / "dns.cfg"
@@ -169,7 +185,7 @@ class TestEndToEnd:
 
     def test_check_report_subcommand(self, tmp_path):
         cfg = RunConfig(subcommand="psi", values={}, out_dir=tmp_path)
-        write_report(tmp_path / "r.json", cfg, {"v": 1}, True)
+        write_report(tmp_path / "r.json", _envelope(cfg), {"v": 1}, True)
         assert main(["check-report", "--report", str(tmp_path / "r.json")]) == EXIT_OK
         assert main(["check-report", "--report",
                      str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -184,12 +200,22 @@ class TestEndToEnd:
 
     def test_check_report_csv_reports_no_verdict(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"
-        envelope = 'envelope: {"config": {"subcommand": "psi"}, "version": "0.1.0"}'
-        write_csv_table(csv_path, ["lam", "sigma_min"], [(0.0, 1.0)], [envelope])
+        envelope = _envelope(RunConfig(subcommand="psi", values={}, out_dir=tmp_path))
+        write_csv_table(csv_path, ["lam", "sigma_min"], [(0.0, 1.0)], envelope)
         assert check_report(csv_path)["summary"]["passed"] is None
         capsys.readouterr()
         assert main(["check-report", "--report", str(csv_path)]) == EXIT_OK
         assert "passed=n/a (CSV tables carry no verdict)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("foreign", ["other-tool", "empty"])
+    def test_check_report_rejects_foreign_csv(self, tmp_path, capsys, foreign):
+        # a CSV envelope gets the same tool and field checks as a JSON one
+        envelope = _envelope(RunConfig(subcommand="psi", values={}, out_dir=tmp_path))
+        envelope = {**envelope, "tool": "other"} if foreign == "other-tool" else {}
+        csv_path = tmp_path / "t.csv"
+        write_csv_table(csv_path, ["lam", "sigma_min"], [(0.0, 1.0)], envelope)
+        assert main(["check-report", "--report", str(csv_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invalid report: ")
 
     def test_evolve_subcommand_and_threshold_parallel(self, tmp_path):
         cfgfile = tmp_path / "evolve.cfg"
@@ -296,11 +322,13 @@ class TestOutputFiles:
     def check_outputs(self, out_dir, expected):
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == sorted(expected)
+        envelopes = []
         for name in files:
             path = out_dir / name
             assert main(["check-report", "--report", str(path)]) == EXIT_OK
             doc = check_report(path)
             assert doc["envelope"]["version"]
+            envelopes.append(doc["envelope"])
             if name.endswith(".csv"):
                 lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
                 rows = list(csv.reader(lines))
@@ -311,7 +339,26 @@ class TestOutputFiles:
                     for col, cell in zip(header, row):
                         if col not in self.LABELS and cell != "":
                             float(cell)
+        # one envelope per run, shared by the JSON report and every table
+        assert all(env == envelopes[0] for env in envelopes)
         return out_dir
+
+    @pytest.mark.parametrize("sub, text, table, header", [
+        ("psi", MINIMAL_PSI.replace("n = 256", "n = 128"), "psi_scan.csv",
+         "lam,sigma_min"),
+        ("evolve", TestSweepPoolAndSeed.CONFIGS["evolve"], "trajectory.csv",
+         "t,norm_f,norm_g,norm_q1f,norm_p1f,norm_dyf"),
+        ("dns", TestSweepPoolAndSeed.CONFIGS["dns"], "dns_diagnostics.csv",
+         "t,v2_h2,lap_v2_neq,dx_omega2,p0_v3_h1,v_h2,a1,a2,a3,liftup_residual,"
+         "recovery_residual,divergence,tail_fraction,m0,m1"),
+    ])
+    def test_table_outputs(self, tmp_path, sub, text, table, header):
+        cfgfile = tmp_path / f"{sub}.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        self.check_outputs(out, [table, f"{sub}_report.json"])
+        assert (out / table).read_text().splitlines()[1] == header
 
     def test_resolvent_sweep_outputs(self, tmp_path):
         cfgfile = tmp_path / "sweep.cfg"

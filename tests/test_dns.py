@@ -246,17 +246,6 @@ class TestDiagnostics:
             assert fr.m0 >= prev[0] and fr.m1 >= prev[1]
             prev = (fr.m0, fr.m1)
 
-    def test_csv_stream(self, tmp_path):
-        cfg = base_config(epsilon=0.01, seed=4, dt=0.02)
-        st = init_perturbation(cfg)
-        tracker = DiagnosticsTracker(cfg)
-        tracker.frame(st)
-        path = tmp_path / "frames.csv"
-        tracker.write_csv(path, header_lines=["test"])
-        text = path.read_text().splitlines()
-        assert text[0] == "# test"
-        assert text[1].startswith("t,")
-
 
 class TestRuns:
     def test_small_epsilon_decays(self):

@@ -437,14 +437,6 @@ class TestPseudospectrumGrid:
         with pytest.raises(Exception):
             pseudospectrum_grid(diag_op(1), (0, 1, 0, 1), (4, 4))
 
-    def test_csv_roundtrip(self, tmp_path):
-        field = pseudospectrum_grid(diag_op(1, 2), (-1, 1, -1, 1), (8, 8))
-        out = tmp_path / "field.csv"
-        field.write_csv(out)
-        rows = out.read_text().strip().splitlines()
-        assert rows[0] == "re,im,sigma_min"
-        assert len(rows) == 1 + 64
-
 
 class TestResolventSweep:
     def test_small_N_sweep(self):
