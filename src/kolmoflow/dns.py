@@ -32,7 +32,6 @@ serially or on a process pool of at most one worker per cell.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -497,6 +496,8 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
     workers = min(jobs, len(cells))
     if workers <= 1:
         return ThresholdMap(rows=[_sweep_row(c) for c in cells])
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return ThresholdMap(rows=list(pool.map(_sweep_row, cells)))
 

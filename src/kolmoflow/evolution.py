@@ -256,9 +256,11 @@ def semigroup_norm_curve(op: OperatorMatrix | np.ndarray, times: np.ndarray,
     from 0 (as np.linspace(0, T, k) gives), walked by powers of one step.
 
     Verdict: ||e^(-tA)|| <= e^(-t psi + pi/2) * (1 + SEMIGROUP_TOL)
-    * e^(t * scan_error) for every sampled t; the last factor accounts for
-    the scanned (upper bound) psi sitting at most scan_error above the true
-    infimum.
+    * e^(t * scan_error) for every sampled t. The scanned psi is an upper
+    bound on the infimum, and the last factor is a heuristic allowance for
+    that gap: scan_error is the lam-width of the refined golden-section
+    bracket, not a bound on psi - inf (a dip between coarse scan points is
+    not covered).
     """
     a = op.dense() if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
     if isinstance(op, OperatorMatrix) and op.kind == "ModeL" and metric is None:

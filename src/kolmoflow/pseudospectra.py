@@ -79,7 +79,9 @@ class PsiResult:
     lam_grid: np.ndarray
     sigma_grid: np.ndarray
     converged: bool
-    scan_error: float  # Lipschitz bound on psi - inf over the interval
+    # lam-width of the golden-section bracket of the refined basin (the coarse
+    # spacing when no basin improved on the grid); not a bound on psi - inf
+    scan_error: float
     flags: list[str] = field(default_factory=list)
     sigma_evals: int = 0
 

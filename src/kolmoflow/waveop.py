@@ -17,6 +17,9 @@ subtraction of the 1/(u-c) pole: its p.v. integral over [0, pi] vanishes
 exactly) with regular quadratures on the input grid; outputs are masked
 within `margin` of the endpoints, where the endpoint coefficients J_j
 degenerate.
+
+scipy.integrate and scipy.interpolate are imported inside the functions that
+use them, so importing this module does not load them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .spectral import ConfigurationError
 
@@ -99,6 +100,8 @@ def solve_phi1(c: float, alpha: float, y_half: np.ndarray,
     which stays regular through the critical layer; the first SERIES_RADIUS
     around y_c comes from the series expansion.
     """
+    from scipy.integrate import solve_ivp
+
     if not (-1.0 < c < 1.0):
         raise ConfigurationError(f"c must lie in (-1, 1), got {c}")
     if alpha <= 1.0:
@@ -166,6 +169,8 @@ def compute_coefficients(prof: RayleighProfile) -> WaveOpCoefficients:
     II's integrand (u-c)^(-2) (phi1^(-2) - 1) is bounded at y_c because
     phi1 - 1 = O((y-y_c)^2); its limit there is -alpha^2/(3 sin^2 y_c).
     """
+    from scipy.integrate import quad
+
     c, y_c, alpha = prof.c, prof.y_c, prof.alpha
     eps = min(SERIES_RADIUS, 0.45 * min(y_c, np.pi - y_c))
 
@@ -433,6 +438,8 @@ def fill_masked(vals: np.ndarray, mask: np.ndarray, y: np.ndarray) -> np.ndarray
     """Cubic interpolation across masked gaps (flagged use only)."""
     if mask.all():
         return vals
+    from scipy.interpolate import CubicSpline
+
     good = np.where(mask)[0]
     yy = np.concatenate([y[good], [y[good[0]] + 2 * np.pi]])
     vv = np.concatenate([vals[good], [vals[good[0]]]])

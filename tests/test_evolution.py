@@ -316,6 +316,13 @@ class TestForcedDecay:
         assert out["verdict"]
         assert out["weighted_source_integral"] == 0.0
         assert np.isfinite(out["x_norm_sq"])
+        # independent oracle: adaptive integration of f' = -A_L f, not the
+        # matrix exponential that forced_decay and evolve_coupled share
+        a_l, _, _ = coupled_generators(p, grid)
+        sol = solve_ivp(lambda _, f: -a_l @ f, (0.0, 20.0), f0.astype(complex),
+                        method="DOP853", rtol=1e-11, atol=1e-14, t_eval=out["times"])
+        want = np.array([grid.norm_coeffs(f) for f in sol.y.T])
+        assert np.max(np.abs(out["norms"] - want) / want) <= 1e-7
 
     def test_pulse_recovers_homogeneous_rate(self):
         p = self.params()
