@@ -14,13 +14,25 @@ terms are single +-k_f harmonics, which on this box are one k_y grid step,
 so they are exact spectral shifts with no aliasing. Every stage ends with a
 Leray projection; the retained mode set is closed under the dynamics.
 
+The stages therefore run on the retained 2/3-rule box alone, in compact fft order,
+with work buffers that live on the state. The transforms are numpy's own,
+pruned: the inverse transforms along x and y only the lines that carry
+retained modes, and the forward keeps only the retained rows after each
+axis. Each transformed line sees the values it would see in the full
+irfftn/rfftn, so the step is bit-identical to stepping the whole masked
+half spectrum. An initial support wider than the box is refused:
+`filter_fraction` can be at most the dealias fraction 1/3 (`DNSConfig`),
+and `load_checkpoint` rejects coefficients off the box.
+
 Fields are stored as normalized Fourier coefficients: v = sum c_k e^{ik.x},
 so the (0,0,0) coefficient is the volume mean and Parseval reads
 int |v|^2 = Vol * sum |c_k|^2. The fields are real, so only the rfftn half
 spectrum kz >= 0 is held, shape (3, nx, ny, nz//2+1); the kz < 0 modes are
 the conjugates c_{-k} = conj(c_k). Sums over the full spectrum therefore
 weight each stored mode by its multiplicity: 1 on the self-conjugate kz = 0
-and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). Restart files
+and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). `vhat` keeps this
+full half layout, zero off the box, so diagnostics, tables and checkpoints
+sum over the same arrays as a full-spectrum solver would. Restart files
 hold the same half layout; `load_checkpoint` also reads files written in
 the earlier full-spectrum layout (last axis nz) by keeping their kz >= 0
 part.
@@ -66,6 +78,10 @@ class DNSConfig:
             raise ConfigurationError("resolutions must be even")
         if self.nu <= 0:
             raise ConfigurationError("nu must be positive")
+        if any(np.floor(m * self.filter_fraction) > m // 3 for m in self.n):
+            raise ConfigurationError(
+                f"filter_fraction={self.filter_fraction} puts initial modes outside the "
+                f"2/3 dealias box of the {self.n} grid; it can be at most 1/3")
         if self.t_end is None:
             self.t_end = 50.0 / np.sqrt(abs(self.gamma))
         u_star = abs(self.gamma) / (self.nu * self.k_f**2)
@@ -93,12 +109,36 @@ def _box_mask(n: tuple[int, int, int], cutoff) -> np.ndarray:
             & (iz <= cutoff(n[2])))
 
 
+def _runs(c: int, m: int) -> list[tuple[slice, slice]]:
+    """(compact, full) slice pairs of the retained runs 0..c and -c..-1 of
+    an axis of length m in fft order."""
+    runs = [(slice(0, c + 1), slice(0, c + 1))]
+    if c:
+        runs.append((slice(c + 1, 2 * c + 1), slice(m - c, m)))
+    return runs
+
+
+def _project(w: np.ndarray, kx, ky, kz, k2_safe) -> np.ndarray:
+    """Leray projection of w in place: remove its k-parallel part."""
+    kv = (kx * w[0] + ky * w[1] + kz * w[2]) / k2_safe
+    w[0] -= kx * kv
+    w[1] -= ky * kv
+    w[2] -= kz * kv
+    return w
+
+
 class SpectralField3D:
     """Divergence-free perturbation velocity as Fourier coefficients.
 
     Layout: vhat[c, ix, iy, iz], the rfftn half spectrum (3, nx, ny, nz//2+1);
     x,z wavenumbers are integers, y wavenumbers are k_f * integers (box
     2pi/k_f). The kz < 0 half is implied by Hermitian symmetry.
+
+    The dynamics live on the retained 2/3-rule box (`dealias`). `vhat[box]`
+    gathers it in compact fft order, shape (3,) + box_shape with box_shape
+    (2cx+1, 2cy+1, cz+1): indices 0..c then -c..-1 along x and y, 0..c along
+    z. The `box_k*` arrays are the wavenumbers of that layout. The
+    time stepper reads and writes only the box; `vhat` is zero off it.
     """
 
     def __init__(self, config: DNSConfig):
@@ -115,14 +155,70 @@ class SpectralField3D:
         self.dealias = _box_mask(config.n, lambda m: m / 3.0)
         self.vhat = np.zeros((3, nx, ny, nz // 2 + 1), dtype=complex)
         self.t = 0.0
-        self.step_factors = None  # (dt, e_full, e_half, e_back), see step_imex
+        self.step_factors = None  # (dt, e_full, e_half, e_back) on the box, see step_imex
+
+        kx, ky, kz = (np.flatnonzero(np.abs(i.ravel()) <= m / 3.0)
+                      for i, m in zip(_wavenumbers(config.n), config.n))
+        rx, ry, rz = self.box_shape = (kx.size, ky.size, kz.size)
+        self.box = (Ellipsis, kx[:, None], ky[None, :], slice(0, rz))
+        self.box_kx = self.kx[kx]
+        self.box_ky = self.ky[:, ky]
+        self.box_kz = self.kz[..., :rz]
+        self.box_k2 = self.k2[self.box]
+        self.box_k2_safe = self.k2_safe[self.box]
+        self._x_runs, self._y_runs = _runs(rx // 2, nx), _runs(ry // 2, ny)
+        # work buffers of the step and its right-hand sides. The zero-padded
+        # ones are only ever written on their retained slots. The z-line
+        # buffer is free while the products are formed, so it holds their
+        # scratch field. _stage holds u0, u1, u_half, a stage's right-hand
+        # side and one of its terms.
+        self._pad_x = np.zeros((6, nx, ry, rz), dtype=complex)
+        self._pad_y = np.zeros((6, nx, ny, rz), dtype=complex)
+        self._lines = np.empty((6, nx, ny, rz), dtype=complex)
+        self._phys = np.empty((6, nx, ny, nz))
+        self._prod = np.empty((3, nx, ny, nz))
+        self._scratch = self._lines.reshape(-1).view(float)[: nx * ny * nz].reshape(nx, ny, nz)
+        self._half = np.empty((3, nx, ny, nz // 2 + 1), dtype=complex)
+        self._stack = np.empty((6, rx, ry, rz), dtype=complex)
+        self._stage = np.empty((5, 3, rx, ry, rz), dtype=complex)
 
     # -- transforms (normalized coefficients, batched over leading axes) -----
-    def to_physical(self, chat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(chat, s=self.shape, axes=(-3, -2, -1), norm="forward")
-
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(v, axes=(-3, -2, -1), norm="forward")
+
+    def box_to_physical(self, c: np.ndarray) -> np.ndarray:
+        """Physical values of m <= 6 fields of box coefficients, shape
+        (m,) + box_shape: numpy's irfftn of their zero-padded half spectrum, pruned. The x
+        transform runs only on the retained (y, z) lines and the y transform
+        only on the retained z lines, so every line that is transformed sees
+        the same values, in the same axis order, as in the full irfftn.
+        Returns a work buffer that the next call overwrites."""
+        m = len(c)
+        pad_x, pad_y = self._pad_x[:m], self._pad_y[:m]
+        for cx, fx in self._x_runs:
+            pad_x[:, fx] = c[:, cx]
+        for cy, fy in self._y_runs:
+            np.fft.ifft(pad_x[:, :, cy], axis=1, norm="forward", out=pad_y[:, :, fy])
+        lines = np.fft.ifft(pad_y, axis=2, norm="forward", out=self._lines[:m])
+        return np.fft.irfft(lines, n=self.shape[2], axis=3, norm="forward",
+                            out=self._phys[:m])
+
+    def box_to_spectral(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Box coefficients of m <= 3 physical fields (m, nx, ny, nz): numpy's
+        rfftn, keeping kz <= cz after the z transform and the retained rows
+        after the y and x transforms."""
+        m = len(v)
+        half = np.fft.rfft(v, axis=3, norm="forward", out=self._half[:m])
+        _, ry, rz = self.box_shape
+        lines = np.fft.fft(half[..., :rz], axis=2, norm="forward", out=self._lines[:m])
+        spec_x = self._lines[3:3 + m, :, :ry]  # the half the y lines leave free
+        for cy, fy in self._y_runs:
+            np.fft.fft(lines[:, :, fy], axis=1, norm="forward", out=spec_x[:, :, cy])
+        if out is None:
+            out = np.empty((m,) + self.box_shape, dtype=complex)
+        for cx, fx in self._x_runs:
+            out[:, cx] = spec_x[:, fx]
+        return out
 
     # -- algebra -------------------------------------------------------------
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -130,12 +226,11 @@ class SpectralField3D:
         return float(self.vol * np.sum(self.weight * (a * np.conj(b)).real))
 
     def leray_project(self, what: np.ndarray) -> np.ndarray:
-        kv = (self.kx * what[0] + self.ky * what[1] + self.kz * what[2]) / self.k2_safe
-        out = what.copy()
-        out[0] -= self.kx * kv
-        out[1] -= self.ky * kv
-        out[2] -= self.kz * kv
-        return out
+        return _project(what.copy(), self.kx, self.ky, self.kz, self.k2_safe)
+
+    def project_box(self, c: np.ndarray) -> np.ndarray:
+        """Leray projection of box coefficients, in place."""
+        return _project(c, self.box_kx, self.box_ky, self.box_kz, self.box_k2_safe)
 
     def divergence_max(self) -> float:
         div = np.abs(self.kx * self.vhat[0] + self.ky * self.vhat[1]
@@ -196,93 +291,121 @@ def init_perturbation(config: DNSConfig) -> SpectralField3D:
     return state
 
 
-def _shift_ky(w: np.ndarray, s: int) -> np.ndarray:
-    """Shift the y-frequency (axis -2) by s = +-1 grid steps (multiplication
-    by e^{+-i k_f y}).
+def _shift_ky(w: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift the compact y axis (axis -2, fft order 0..c, -c..-1) of box
+    coefficients by s = +-1 grid steps (multiplication by e^{+-i k_f y}).
 
-    Slice moves in natural fft order; Galerkin: the frequency shifted past
-    the +-ny/2 boundary is dropped, not wrapped."""
-    ny = w.shape[-2]
-    out = np.empty_like(w)
+    The mode shifted past +-c falls off the box, and the slot it vacates
+    (-c for s = +1, +c for s = -1) is zero."""
+    c = w.shape[-2] // 2
+    out = np.empty_like(w) if out is None else out
     if s == 1:
         out[..., 1:, :] = w[..., :-1, :]
         out[..., 0, :] = w[..., -1, :]
-        out[..., ny // 2, :] = 0.0    # would receive ky = ny/2 - 1 wrapped
+        out[..., (c + 1) % (2 * c + 1), :] = 0.0
     elif s == -1:
         out[..., :-1, :] = w[..., 1:, :]
         out[..., -1, :] = w[..., 0, :]
-        out[..., ny // 2 - 1, :] = 0.0  # would receive ky = -ny/2 wrapped
+        out[..., c, :] = 0.0
     else:
         raise ValueError(f"shift must be +-1, got {s}")
     return out
 
 
-def background_rhs(state: SpectralField3D, what: np.ndarray | None = None) -> np.ndarray:
-    """-(U* dx V + v2 dU*/dy e_x) via exact +-k_f spectral shifts."""
+def background_rhs(state: SpectralField3D, what: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """-(U* dx V + v2 dU*/dy e_x) on the box via exact +-k_f spectral shifts."""
     cfg = state.config
     amp = cfg.gamma / (cfg.nu * cfg.k_f**2)
-    v = state.vhat if what is None else what
+    v = state.vhat[state.box] if what is None else what
+    up, down = state._stack[:3], state._stack[3:]  # free until the nonlinear term
     # sin(k_f y) dx V = (shift up - shift down)/(2i) of i kx V
-    rhs = (-0.5 * amp) * state.kx * (_shift_ky(v, 1) - _shift_ky(v, -1))
+    rhs = np.multiply((-0.5 * amp) * state.box_kx,
+                      np.subtract(_shift_ky(v, 1, up), _shift_ky(v, -1, down), out=up),
+                      out=out)
     lift = cfg.gamma / (cfg.nu * cfg.k_f)
-    rhs[0] -= lift * (_shift_ky(v[1], 1) + _shift_ky(v[1], -1)) / 2.0
+    cos_v2 = np.add(_shift_ky(v[1], 1, up[0]), _shift_ky(v[1], -1, down[0]), out=up[0])
+    cos_v2 *= lift
+    cos_v2 /= 2.0
+    rhs[0] -= cos_v2
     return rhs
 
 
-def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None) -> np.ndarray:
+def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Rotation form omega x V of the advection term (the |V|^2/2 gradient
-    falls to the projection); products on the 2/3-masked set. One batched
-    inverse transform of (V, omega) and one forward transform of the
-    products."""
-    v = (state.vhat if what is None else what) * state.dealias
-    kx, ky, kz = state.kx, state.ky, state.kz
-    both = np.empty((6,) + v.shape[1:], dtype=complex)
+    falls to the projection) on the box. One batched pruned inverse
+    transform of (V, omega) and one pruned forward transform of the
+    products, which keeps only the box: the 2/3 rule."""
+    v = state.vhat[state.box] if what is None else what
+    kx, ky, kz = state.box_kx, state.box_ky, state.box_kz
+    both = state._stack
     both[:3] = v
     both[3] = 1j * (ky * v[2] - kz * v[1])
     both[4] = 1j * (kz * v[0] - kx * v[2])
     both[5] = 1j * (kx * v[1] - ky * v[0])
-    vx, vy, vz, wx, wy, wz = state.to_physical(both)
-    prod = np.stack([wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx])
-    return state.to_spectral(prod) * state.dealias
+    vx, vy, vz, wx, wy, wz = state.box_to_physical(both)
+    prod, scratch = state._prod, state._scratch
+    for p, (a, b, c, d) in zip(prod, ((wy, vz, wz, vy), (wz, vx, wx, vz), (wx, vy, wy, vx))):
+        np.multiply(a, b, out=p)
+        p -= np.multiply(c, d, out=scratch)
+    return state.box_to_spectral(prod, out)
 
 
-def explicit_rhs(state: SpectralField3D, what: np.ndarray) -> np.ndarray:
+def explicit_rhs(state: SpectralField3D, what: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Projected background and advection terms of box coefficients."""
     cfg = state.config
-    rhs = np.zeros_like(what)
+    out = np.empty_like(what) if out is None else out
+    out[...] = 0.0  # the terms add onto +0.0, so a -0.0 term ends up +0.0
+    term = state._stage[4]
     if cfg.background:
-        rhs += background_rhs(state, what)
+        out += background_rhs(state, what, term)
     if cfg.nonlinear:
-        rhs += nonlinear_rhs(state, what)
-    return state.leray_project(rhs * state.dealias)
+        out += nonlinear_rhs(state, what, term)
+    return state.project_box(out)
 
 
 def step_imex(state: SpectralField3D, dt: float | None = None) -> SpectralField3D:
-    """One integrating-factor SSP-RK3 step.
+    """One integrating-factor SSP-RK3 step on the retained box.
 
     Shu-Osher stages mapped through the viscous integrating factor:
         u1     = E(h) (u0 + h N(u0))
         u_half = 3/4 E(h/2) u0 + 1/4 E(-h/2) (u1 + h N(u1))
         u_new  = 1/3 E(h) u0 + 2/3 E(h/2) (u_half + h N(u_half))
-    The E(-h/2) growth factor only acts on retained (dealiased) modes, where
-    nu k^2 h stays CFL-bounded. The three factors are cached on the state
-    for the step size they were built for.
+    u0 is gathered from `vhat` once and u_new scattered back once; the
+    stages run in work buffers of the state. On the box nu k^2 h stays
+    CFL-bounded, so the E(-h/2) growth factor is harmless. The three factors
+    are cached on the state for the step size they were built for.
     """
     cfg = state.config
     h = cfg.dt if dt is None else dt
     if state.step_factors is None or state.step_factors[0] != h:
-        e_full = np.exp(-cfg.nu * state.k2 * h)
-        e_half = np.exp(-cfg.nu * state.k2 * (h / 2.0))
-        e_back = np.exp(np.minimum(cfg.nu * state.k2 * (h / 2.0), 200.0)) * state.dealias
+        k2 = state.box_k2
+        e_full = np.exp(-cfg.nu * k2 * h)
+        e_half = np.exp(-cfg.nu * k2 * (h / 2.0))
+        e_back = np.exp(np.minimum(cfg.nu * k2 * (h / 2.0), 200.0))
         state.step_factors = (h, e_full, e_half, e_back)
     _, e_full, e_half, e_back = state.step_factors
 
-    u0 = state.vhat
-    u1 = e_full * (u0 + h * explicit_rhs(state, u0))
-    u_half = 0.75 * e_half * u0 + 0.25 * e_back * (u1 + h * explicit_rhs(state, u1))
-    u_new = (e_full * u0 + 2.0 * e_half * (u_half + h * explicit_rhs(state, u_half))) / 3.0
+    u0, u1, u_half, rhs = state._stage[:4]
+
+    def euler(u):  # u + h N(u), in the rhs buffer
+        out = explicit_rhs(state, u, rhs)
+        out *= h
+        out += u
+        return out
+
+    u0[...] = state.vhat[state.box]
+    np.multiply(e_full, euler(u0), out=u1)
+    np.multiply(0.75 * e_half, u0, out=u_half)
+    u_half += np.multiply(0.25 * e_back, euler(u1), out=rhs)
+    u_new = np.multiply(e_full, u0, out=u1)
+    u_new += np.multiply(2.0 * e_half, euler(u_half), out=rhs)
+    u_new /= 3.0
     if not np.all(np.isfinite(u_new)):
         raise FloatingPointError("non-finite state: numerical blow-up")
-    state.vhat = state.leray_project(u_new)
+    state.vhat[state.box] = state.project_box(u_new)
     state.t += h
     return state
 
@@ -530,6 +653,9 @@ def load_checkpoint(path) -> SpectralField3D:
         if vhat.shape != state.vhat.shape:
             raise ValueError(f"checkpoint vhat has shape {vhat.shape}; expected "
                              f"{state.vhat.shape} or the full-spectrum {full}")
+        if np.any(vhat[:, ~state.dealias]):
+            raise ValueError("checkpoint vhat has nonzero coefficients outside the "
+                             "2/3 dealias box")
         state.vhat = vhat
         state.t = float(data["t"])
     return state

@@ -52,6 +52,12 @@ class TestConfig:
         cfg = base_config()
         assert cfg.t_end == pytest.approx(50.0 / np.sqrt(0.05))
 
+    def test_initial_support_must_lie_in_dealias_box(self):
+        # at 16^3 the box keeps |i| <= 5: 0.35 * 16 = 5.6 adds no mode, 0.4 * 16 does
+        base_config(filter_fraction=0.35)
+        with pytest.raises(ConfigurationError, match="filter_fraction"):
+            base_config(filter_fraction=0.4)
+
 
 class TestInit:
     def test_zero_epsilon(self):
@@ -90,6 +96,13 @@ def hermitian_extension(half, nz):
     return np.concatenate([half, mirror[..., nz // 2 - 1:0:-1]], axis=-1)
 
 
+def on_full(st, c):
+    """Box coefficients scattered into the half layout, zero off the box."""
+    out = np.zeros(c.shape[:-3] + st.vhat.shape[1:], dtype=complex)
+    out[st.box] = c
+    return out
+
+
 def rotation_form_full(st, vfull):
     """Oracle: omega x V on the full fftn spectrum, 2/3-masked."""
     nx, ny, nz = st.config.n
@@ -111,7 +124,7 @@ class TestTransforms:
         rng = np.random.default_rng(11)
         half = st.to_spectral(rng.standard_normal((3,) + cfg.n))  # Hermitian by construction
         want = rotation_form_full(st, hermitian_extension(half, cfg.n[2]))
-        got = nonlinear_rhs(st, half)
+        got = on_full(st, nonlinear_rhs(st, half[st.box]))
         assert np.max(np.abs(got - want[..., : cfg.n[2] // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
 
     def test_hermitian_defect_checks_self_conjugate_planes(self):
@@ -134,7 +147,67 @@ class TestTransforms:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+def full_spectrum_step(st, h):
+    """Oracle: the integrating-factor SSP-RK3 step on the whole half
+    spectrum, masking with `dealias` instead of staying on the box."""
+    cfg, kx, ky, kz, mask = st.config, st.kx, st.ky, st.kz, st.dealias
+
+    def shift(w, s):  # Galerkin: the frequency pushed past +-ny/2 is dropped
+        ny = w.shape[-2]
+        out = np.roll(w, s, axis=-2)
+        out[..., ny // 2 if s == 1 else ny // 2 - 1, :] = 0.0
+        return out
+
+    def rhs(what):
+        out = np.zeros_like(what)
+        if cfg.background:
+            bg = (-0.5 * cfg.gamma / (cfg.nu * cfg.k_f**2)) * kx * (shift(what, 1) - shift(what, -1))
+            bg[0] -= cfg.gamma / (cfg.nu * cfg.k_f) * (shift(what[1], 1) + shift(what[1], -1)) / 2.0
+            out += bg
+        if cfg.nonlinear:
+            v = what * mask
+            both = np.concatenate([v, 1j * np.stack([ky * v[2] - kz * v[1], kz * v[0] - kx * v[2],
+                                                     kx * v[1] - ky * v[0]])])
+            vx, vy, vz, wx, wy, wz = np.fft.irfftn(both, s=st.shape, axes=(1, 2, 3), norm="forward")
+            prod = np.stack([wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx])
+            out += np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward") * mask
+        return st.leray_project(out * mask)
+
+    e_full = np.exp(-cfg.nu * st.k2 * h)
+    e_half = np.exp(-cfg.nu * st.k2 * (h / 2.0))
+    e_back = np.exp(np.minimum(cfg.nu * st.k2 * (h / 2.0), 200.0)) * mask
+    u0 = st.vhat
+    u1 = e_full * (u0 + h * rhs(u0))
+    u_half = 0.75 * e_half * u0 + 0.25 * e_back * (u1 + h * rhs(u1))
+    u_new = (e_full * u0 + 2.0 * e_half * (u_half + h * rhs(u_half))) / 3.0
+    st.vhat = st.leray_project(u_new)
+    st.t += h
+
+
 class TestStep:
+    @pytest.mark.parametrize("n", [(16, 12, 10), (16, 16, 16)])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("background", [True, False])
+    def test_box_step_is_bitwise_the_full_spectrum_step(self, n, nonlinear, background):
+        cfg = base_config(n=n, epsilon=0.05, seed=2, nonlinear=nonlinear, background=background)
+        st = init_perturbation(cfg)
+        oracle = init_perturbation(cfg)
+        for _ in range(20):
+            step_imex(st)
+            full_spectrum_step(oracle, cfg.dt)
+        assert np.array_equal(st.vhat, oracle.vhat)
+        assert st.vhat[st.box].tobytes() == oracle.vhat[st.box].tobytes()  # signed zeros too
+        assert st.t == oracle.t
+
+    def test_box_step_matches_oracle_across_dt_changes(self):
+        cfg = base_config(epsilon=0.05, seed=4)
+        st = init_perturbation(cfg)
+        oracle = init_perturbation(cfg)
+        for dt in [cfg.dt] * 5 + [cfg.dt / 2] * 5 + [cfg.dt] * 5:
+            step_imex(st, dt=dt)
+            full_spectrum_step(oracle, dt)
+        assert np.array_equal(st.vhat, oracle.vhat)
+
     def test_zero_is_fixed_point(self):
         st = init_perturbation(base_config(epsilon=0.0, dt=0.02))
         for _ in range(200):
@@ -167,7 +240,8 @@ class TestStep:
 
         def rhs_energy(st):
             visc = -cfg.nu * st.grad_norm_sq()
-            cosv2 = (_shift_ky(st.vhat[1], 1) + _shift_ky(st.vhat[1], -1)) / 2.0
+            v2 = st.vhat[1][st.box]
+            cosv2 = on_full(st, (_shift_ky(v2, 1) + _shift_ky(v2, -1)) / 2.0)
             lift = cfg.gamma / (cfg.nu * cfg.k_f)
             cross = -lift * st.inner(cosv2, st.vhat[0])
             return visc + cross
@@ -190,10 +264,11 @@ class TestStep:
         st = init_perturbation(cfg)
         for _ in range(5):
             step_imex(st)
-        rhs = explicit_rhs(st, st.vhat) - cfg.nu * st.k2 * st.vhat
+        rhs = on_full(st, explicit_rhs(st, st.vhat[st.box])) - cfg.nu * st.k2 * st.vhat
         dedt = st.inner(rhs, st.vhat)
         visc = -cfg.nu * st.grad_norm_sq()
-        cosv2 = (_shift_ky(st.vhat[1], 1) + _shift_ky(st.vhat[1], -1)) / 2.0
+        v2 = st.vhat[1][st.box]
+        cosv2 = on_full(st, (_shift_ky(v2, 1) + _shift_ky(v2, -1)) / 2.0)
         lift = cfg.gamma / (cfg.nu * cfg.k_f)
         cross = -lift * st.inner(cosv2, st.vhat[0])
         assert dedt == pytest.approx(visc + cross, rel=1e-10)
@@ -318,6 +393,13 @@ class TestRuns:
         step_imex(back)
         step_imex(st)
         assert np.array_equal(back.vhat, st.vhat)
+
+    def test_checkpoint_outside_dealias_box_is_refused(self, tmp_path):
+        st = init_perturbation(base_config(seed=3))
+        st.vhat[0, 0, 6, 1] = 1e-9  # |iy| = 6 > 16/3
+        save_checkpoint(st, tmp_path / "tail.npz")
+        with pytest.raises(ValueError, match="dealias box"):
+            load_checkpoint(tmp_path / "tail.npz")
 
     def test_checkpoint_with_wrong_shape_is_refused(self, tmp_path):
         st = init_perturbation(base_config(seed=3))

@@ -3,7 +3,8 @@
 Every module needs numpy and scipy.linalg. scipy.integrate, whose package
 init also loads scipy.optimize and scipy.special, and scipy.interpolate load
 on first use inside `waveop`, so a process that never builds a wave operator
-does not pay their start-up time and memory.
+does not pay their start-up time and memory. A DNS step runs on numpy.fft
+alone, so it leaves scipy.fft unloaded.
 """
 
 import json
@@ -27,6 +28,10 @@ names = sorted(m.name for m in pkgutil.iter_modules(kolmoflow.__path__))
 for name in names:
     importlib.import_module("kolmoflow." + name)
 after_import = loaded()
+from kolmoflow import dns
+state = dns.init_perturbation(dns.DNSConfig(nu=0.05, gamma=0.05, k_f=0.5, n=(8, 8, 8)))
+dns.step_imex(state)
+fft_after_step = "scipy.fft" in sys.modules
 from kolmoflow import waveop
 waveop.get_wave_operator(2.0, 16)
 after_build = loaded()
@@ -35,6 +40,7 @@ mask = np.ones(16, bool)
 mask[3] = False
 waveop.fill_masked(np.cos(y), mask, y)
 print(json.dumps({{"modules": names, "after_import": after_import,
+                   "fft_after_step": fft_after_step,
                    "after_build": after_build, "after_fill": loaded()}}))
 """
 
@@ -49,5 +55,6 @@ def test_deferred_scipy_modules_load_only_on_use():
     assert {"acceptance", "cli", "dns", "evolution", "pseudospectra", "spectral",
             "waveop"} <= set(out["modules"])
     assert out["after_import"] == []
+    assert not out["fft_after_step"]  # the DNS transforms are numpy's own
     assert "scipy.integrate" in out["after_build"]
     assert "scipy.interpolate" in out["after_fill"]
