@@ -3,7 +3,8 @@
 Config files are plain text `key = value` lines (# comments allowed).
 Values: scalars (int/float/str) or comma-separated lists; key paths are
 flat dotted names documented per subcommand in SCHEMAS. Unknown keys,
-type mismatches and range violations are rejected with line numbers and
+type mismatches and range violations (a list key left empty counts as one,
+unless its default is the empty list) are rejected with line numbers and
 distinct exit codes (10/11/12); other configuration problems exit 2,
 verdict failures exit 1, numerical-resolution flags exit 3. `--seed` must
 lie in [0, 2**64) and `--jobs` must be at least 1 (exit 2 otherwise).
@@ -182,6 +183,9 @@ def parse_config(text: str, subcommand: str) -> dict:
             if not all(isinstance(v, (int, float)) for v in vals):
                 raise ConfigError(
                     f"line {lineno}: key {key!r} wants a numeric list", EXIT_TYPE)
+            if not vals and ent["default"] != []:
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} wants at least one value", EXIT_RANGE)
             values[key] = [float(v) for v in vals]
             continue
         val = _parse_scalar(raw)

@@ -20,9 +20,10 @@ pruned: the inverse transforms along x and y only the lines that carry
 retained modes, and the forward keeps only the retained rows after each
 axis. Each transformed line sees the values it would see in the full
 irfftn/rfftn, so the step is bit-identical to stepping the whole masked
-half spectrum. An initial support wider than the box is refused:
-`filter_fraction` can be at most the dealias fraction 1/3 (`DNSConfig`),
-and `load_checkpoint` rejects coefficients off the box.
+half spectrum. The initial perturbation fills the box (the dealias
+fraction 1/3 of each axis) and `load_checkpoint` rejects coefficients off
+the box, so `tail_fraction`, the energy fraction off the box, reads
+exactly 0.
 
 Fields are stored as normalized Fourier coefficients: v = sum c_k e^{ik.x},
 so the (0,0,0) coefficient is the volume mean and Parseval reads
@@ -33,9 +34,8 @@ weight each stored mode by its multiplicity: 1 on the self-conjugate kz = 0
 and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). `vhat` keeps this
 full half layout, zero off the box, so diagnostics, tables and checkpoints
 sum over the same arrays as a full-spectrum solver would. Restart files
-hold the same half layout; `load_checkpoint` also reads files written in
-the earlier full-spectrum layout (last axis nz) by keeping their kz >= 0
-part.
+hold the same half layout and every `DNSConfig` field; `load_checkpoint`
+refuses a file with another shape or a missing field.
 
 `run_threshold_sweep` is the one (nu, eps) sweep: the `threshold`
 subcommand and acceptance criterion 9 both call it, and it runs its cells
@@ -53,6 +53,7 @@ from .spectral import ConfigurationError
 TAIL_FRACTION_LIMIT = 1e-6
 DECAY_ENERGY_RATIO = 1e-8   # x-dependent energy drop that counts as decayed
 EARLY_EXIT_RATIO = 1e-12
+CFL = 0.5  # dt * (max|U*| + 2 epsilon) / dx, the default and the largest allowed
 
 
 @dataclass
@@ -65,9 +66,7 @@ class DNSConfig:
     t_end: float | None = None
     epsilon: float = 1e-3
     seed: int = 0
-    filter_fraction: float = 1.0 / 3.0  # perturbation support below N*fraction
     c_prime: float = 0.1
-    cfl: float = 0.5
     nonlinear: bool = True
     background: bool = True
 
@@ -78,19 +77,19 @@ class DNSConfig:
             raise ConfigurationError("resolutions must be even")
         if self.nu <= 0:
             raise ConfigurationError("nu must be positive")
-        if any(np.floor(m * self.filter_fraction) > m // 3 for m in self.n):
-            raise ConfigurationError(
-                f"filter_fraction={self.filter_fraction} puts initial modes outside the "
-                f"2/3 dealias box of the {self.n} grid; it can be at most 1/3")
         if self.t_end is None:
+            if self.gamma == 0:
+                raise ConfigurationError(
+                    "gamma = 0 needs an explicit t_end: the default horizon "
+                    "50/sqrt|gamma| is infinite")
             self.t_end = 50.0 / np.sqrt(abs(self.gamma))
         u_star = abs(self.gamma) / (self.nu * self.k_f**2)
         dx = 2.0 * np.pi / max(self.n)
         if self.dt is None:
-            self.dt = self.cfl * dx / max(u_star + 2.0 * self.epsilon, 1e-12)
-        if self.dt * (u_star + 2.0 * self.epsilon) / dx > self.cfl * (1 + 1e-9):
+            self.dt = CFL * dx / max(u_star + 2.0 * self.epsilon, 1e-12)
+        if self.dt * (u_star + 2.0 * self.epsilon) / dx > CFL * (1 + 1e-9):
             raise ConfigurationError(
-                f"dt={self.dt:.3g} violates the CFL {self.cfl} estimate")
+                f"dt={self.dt:.3g} violates the CFL {CFL} estimate")
 
 
 def _wavenumbers(n: tuple[int, int, int]):
@@ -100,13 +99,6 @@ def _wavenumbers(n: tuple[int, int, int]):
     return (np.fft.fftfreq(nx, 1.0 / nx)[:, None, None],
             np.fft.fftfreq(ny, 1.0 / ny)[None, :, None],
             np.fft.rfftfreq(nz, 1.0 / nz)[None, None, :])
-
-
-def _box_mask(n: tuple[int, int, int], cutoff) -> np.ndarray:
-    """Modes with |integer wavenumber| <= cutoff(m) along every axis."""
-    ix, iy, iz = _wavenumbers(n)
-    return ((np.abs(ix) <= cutoff(n[0])) & (np.abs(iy) <= cutoff(n[1]))
-            & (iz <= cutoff(n[2])))
 
 
 def _runs(c: int, m: int) -> list[tuple[slice, slice]]:
@@ -152,7 +144,8 @@ class SpectralField3D:
         self.k2_safe = np.where(self.k2 == 0.0, 1.0, self.k2)
         # multiplicity of each stored mode in the full spectrum
         self.weight = np.where((self.kz == 0) | (self.kz == nz // 2), 1.0, 2.0)
-        self.dealias = _box_mask(config.n, lambda m: m / 3.0)
+        self.dealias = ((np.abs(self.kx) <= nx / 3.0) & (np.abs(iy) <= ny / 3.0)
+                        & (self.kz <= nz / 3.0))
         self.vhat = np.zeros((3, nx, ny, nz // 2 + 1), dtype=complex)
         self.t = 0.0
         self.step_factors = None  # (dt, e_full, e_half, e_back) on the box, see step_imex
@@ -238,25 +231,6 @@ class SpectralField3D:
         scale = max(np.max(np.abs(self.vhat)), 1e-300)
         return float(div.max() / scale)
 
-    def hermitian_defect(self) -> float:
-        """Largest |c_k - conj(c_{-k})| on the self-conjugate kz = 0 and
-        Nyquist planes, relative to the largest coefficient. Elsewhere the
-        half layout implies the symmetry."""
-        nx, ny, nz = self.shape
-        flip_x = (-np.arange(nx)) % nx
-        flip_y = (-np.arange(ny)) % ny
-        planes = self.vhat[..., [0, nz // 2]]
-        mirror = np.conj(planes[:, flip_x][:, :, flip_y])
-        scale = max(np.max(np.abs(self.vhat)), 1e-300)
-        return float(np.max(np.abs(planes - mirror)) / scale)
-
-    def l2_norm_sq(self, what: np.ndarray | None = None) -> float:
-        w = self.vhat if what is None else what
-        return self.inner(w, w)
-
-    def grad_norm_sq(self) -> float:
-        return self.inner(self.k2 * self.vhat, self.vhat)
-
     def h2_norm(self, what: np.ndarray | None = None) -> float:
         w = self.vhat if what is None else what
         return float(np.sqrt(self.inner((1.0 + self.k2) ** 2 * w, w)))
@@ -274,14 +248,14 @@ class SpectralField3D:
 
 def init_perturbation(config: DNSConfig) -> SpectralField3D:
     """Random divergence-free real field with H2 norm exactly epsilon,
-    spectral support below filter_fraction of the grid."""
+    supported on the retained 2/3-rule box."""
     state = SpectralField3D(config)
     if config.epsilon == 0.0:
         return state
     rng = np.random.default_rng(config.seed)
     nx, ny, nz = config.n
     what = state.to_spectral(rng.standard_normal((3, nx, ny, nz)))
-    what *= _box_mask(config.n, lambda m: m * config.filter_fraction)
+    what *= state.dealias
     what[:, 0, 0, 0] = 0.0  # perturbation carries no mean flow
     what = state.leray_project(what)
     state.vhat = what
@@ -638,21 +612,19 @@ def save_checkpoint(state: SpectralField3D, path) -> None:
 
 
 def load_checkpoint(path) -> SpectralField3D:
-    """Restart state; a config field the file lacks (older files store no
-    nonlinear, background, cfl or filter_fraction) takes its default. A
-    full-spectrum vhat (last axis nz, written before the half layout) is
-    cut to its kz >= 0 half."""
+    """Restart state of a `save_checkpoint` file. A file that lacks a
+    DNSConfig field, holds vhat in another shape or has coefficients off the
+    dealias box is refused with ValueError."""
     with np.load(path) as data:
-        kw = {f.name: data[f.name].item() for f in fields(DNSConfig)
-              if f.name != "n" and f.name in data.files}
+        missing = [f.name for f in fields(DNSConfig) if f.name not in data.files]
+        if missing:
+            raise ValueError(f"checkpoint lacks the DNSConfig field(s) {missing}")
+        kw = {f.name: data[f.name].item() for f in fields(DNSConfig) if f.name != "n"}
         state = SpectralField3D(DNSConfig(n=tuple(int(m) for m in data["n"]), **kw))
         vhat = data["vhat"]
-        full = (3,) + state.shape
-        if vhat.shape == full:
-            vhat = vhat[..., : state.vhat.shape[-1]].copy()
         if vhat.shape != state.vhat.shape:
             raise ValueError(f"checkpoint vhat has shape {vhat.shape}; expected "
-                             f"{state.vhat.shape} or the full-spectrum {full}")
+                             f"{state.vhat.shape}")
         if np.any(vhat[:, ~state.dealias]):
             raise ValueError("checkpoint vhat has nonzero coefficients outside the "
                              "2/3 dealias box")

@@ -79,14 +79,12 @@ class ForcingSpec:
 
     The source is F(t) = envelope(t) * (i k1 h1 + d/dy h2 + i k3 h3) built
     from three fixed coefficient profiles, so it is a divergence by
-    construction. Envelope kinds: "zero", "pulse" (gaussian at t0 of the
-    given width), "sustained" (exp(-c_weight*sqrt|gamma|*t)).
+    construction. Envelope kinds: "zero" and "sustained"
+    (amplitude * exp(-c_weight*sqrt|gamma|*t)).
     """
 
     kind: str
     amplitude: float = 1.0
-    t0: float = 1.0
-    width: float = 0.05
     c_weight: float = 0.0
     h1: np.ndarray | None = None
     h2: np.ndarray | None = None
@@ -95,8 +93,6 @@ class ForcingSpec:
     def envelope(self, t: float, gamma: float) -> float:
         if self.kind == "zero":
             return 0.0
-        if self.kind == "pulse":
-            return self.amplitude * np.exp(-((t - self.t0) / self.width) ** 2)
         if self.kind == "sustained":
             return self.amplitude * np.exp(-self.c_weight * np.sqrt(abs(gamma)) * t)
         raise ConfigurationError(f"unknown forcing kind {self.kind!r}")
@@ -114,12 +110,10 @@ class ForcingSpec:
 
 @dataclass
 class NormAccumulators:
-    """Running space-time norms, all nondecreasing in time.
-
-    X_{c'} pieces: weighted sup of ||f||^2, sqrt|gamma| times the weighted
-    time integral of ||f||^2, and nu times the weighted integral of the
-    gradient norm squared (weight e^{2 c' sqrt|gamma| t}). Y0 pieces are the
-    unweighted sup and dissipation integral.
+    """Running pieces of the X_{c'} norm, all nondecreasing in time: the
+    weighted sup of ||f||^2, the weighted time integral of ||f||^2 (scaled
+    by sqrt|gamma| in `x_norm_sq`), and nu times the weighted integral of
+    the gradient norm squared, with weight e^{2 c' sqrt|gamma| t}.
     """
 
     c_prime: float
@@ -128,30 +122,22 @@ class NormAccumulators:
     sup_sq: float = 0.0
     l2_sq: float = 0.0
     diss_sq: float = 0.0
-    y0_sup_sq: float = 0.0
-    y0_diss_sq: float = 0.0
     _prev: tuple | None = None
 
     def update(self, t: float, norm_f: float, norm_grad: float) -> None:
         w2 = np.exp(2.0 * self.c_prime * np.sqrt(abs(self.gamma)) * t)
         wf2, wg2 = w2 * norm_f**2, w2 * norm_grad**2
         self.sup_sq = max(self.sup_sq, wf2)
-        self.y0_sup_sq = max(self.y0_sup_sq, norm_f**2)
         if self._prev is not None:
-            t0, pf2, pg2, pug2 = self._prev
+            t0, pf2, pg2 = self._prev
             h = t - t0
             self.l2_sq += 0.5 * h * (pf2 + wf2)
             self.diss_sq += 0.5 * h * (pg2 + wg2) * self.nu
-            self.y0_diss_sq += 0.5 * h * (pug2 + norm_grad**2) * self.nu
-        self._prev = (t, wf2, wg2, norm_grad**2)
+        self._prev = (t, wf2, wg2)
 
     @property
     def x_norm_sq(self) -> float:
         return self.sup_sq + np.sqrt(abs(self.gamma)) * self.l2_sq + self.diss_sq
-
-    @property
-    def y0_norm_sq(self) -> float:
-        return self.y0_sup_sq + self.y0_diss_sq
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +327,7 @@ def fit_decay_rate(traj: Trajectory, channel: str = "f", prefactor: bool = False
 # energy identities
 # ---------------------------------------------------------------------------
 
-def energy_identity_residual(traj: Trajectory, c_prime: float | None = None) -> dict:
+def energy_identity_residual(traj: Trajectory) -> dict:
     """Residual of the exact dissipation identity along an f trajectory.
 
     With phi = (alpha^2 - d^2)^(-1) f the discrete Galerkin flow satisfies
@@ -349,7 +335,9 @@ def energy_identity_residual(traj: Trajectory, c_prime: float | None = None) -> 
         + nu k_f^2 ((alpha^2-1)||f||^2 + ||d_y f||^2) = 0
     exactly; the reported residual is the 4th-order finite-difference
     derivative mismatch, which converges at 4th order in the sample spacing.
-    Cumulative dissipation ratios are reported alongside.
+    Cumulative dissipation ratios are reported alongside; the weight of
+    est4 uses c' = (a - nu kappa^2) / (2 sqrt|k1 gamma|) from the fitted
+    rate a, floored at 0.
     """
     if traj.f_states is None:
         raise ConfigurationError("energy identity needs stored states")
@@ -393,9 +381,8 @@ def energy_identity_residual(traj: Trajectory, c_prime: float | None = None) -> 
         cumulative["est3_ratio"] = float(
             np.trapezoid(w3 * e2_integrand, t)
             / ((1 + a * t[-1]) * max(traj.norm_f[0] ** 2, 1e-300)))
-        if c_prime is None:
-            c_prime = 0.5 * max(a - p.nu * (p.k1**2 + p.k3**2), 0.0) / np.sqrt(
-                abs(p.k1 * p.gamma))
+        c_prime = 0.5 * max(a - p.nu * (p.k1**2 + p.k3**2), 0.0) / np.sqrt(
+            abs(p.k1 * p.gamma))
         w4 = np.exp(2 * c_prime * np.sqrt(abs(p.k1 * p.gamma)) * t)
         alt = p.nu * p.k_f**2 * (p.alpha**2 * traj.norm_f**2 + traj.norm_dyf**2)
         cumulative["est4_ratio"] = float(
@@ -520,7 +507,7 @@ def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
                  dt: float, c_hat: float, grid: FourierGrid | None = None,
                  f0: np.ndarray | None = None,
                  c_prime: float | None = None) -> dict:
-    """Evolve the forced f equation and account the X_{c'} and Y0 norms.
+    """Evolve the forced f equation and account the X_{c'} norm.
 
     Verdict: X_{c'}(f)^2 <= C_hat_fit * (||f0||^2 + nu^{-1} * weighted source
     integral), with C_hat_fit reported (the bounding constant is fitted, never
@@ -576,11 +563,9 @@ def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
         "times": times,
         "norms": np.asarray(norms),
         "x_norm_sq": acc.x_norm_sq,
-        "y0_norm_sq": acc.y0_norm_sq,
         "weighted_source_integral": src_integral,
         "rhs": rhs,
         "c_hat_fit": float(c_fit),
         "c_prime": c_prime,
         "verdict": bool(np.isfinite(acc.x_norm_sq) and rhs > 0),
-        "accumulators": acc,
     }

@@ -271,8 +271,7 @@ def default_psi_query(params: ModeParams, **kw) -> PsiQuery:
 
 
 def compute_psi(op: OperatorMatrix, query: PsiQuery,
-                metric: StarMetric | None = None,
-                extra_lams: np.ndarray | None = None) -> PsiResult:
+                metric: StarMetric | None = None) -> PsiResult:
     """Coarse scan + golden-section refinement of all interior local minima.
 
     The scan is in the star metric if and only if `metric` is given, and in
@@ -310,8 +309,6 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
     lam_grid = np.linspace(query.lam_lo, query.lam_hi, query.scan_count)
     if symmetric:
         lam_grid = (lam_grid - lam_grid[::-1]) / 2.0
-    if extra_lams is not None and len(extra_lams):
-        lam_grid = np.unique(np.concatenate([lam_grid, np.asarray(extra_lams, float)]))
     sig = np.array([sigma(lam) for lam in lam_grid])
 
     # sanity: sigma_min never exceeds the smallest column norm
@@ -460,6 +457,10 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
     alpha=1 mean-zero star metric.
     """
     alpha_res = params.k1 * params.gamma / params.k_f**4  # resolvent-scale alpha
+    if alpha_res == 0.0:
+        raise ConfigurationError(
+            "Psi needs k1*gamma != 0: with k1 = 0 or gamma = 0 the shear term "
+            "and the critical-layer scale vanish")
     delta = abs(alpha_res) ** -0.25 * np.sqrt(params.nu)
     if n is None:
         n = _pick_n(delta)

@@ -103,13 +103,6 @@ class ResolventQuery:
     lam: float
     beta_tilde: float
 
-    @classmethod
-    def from_params(cls, params: ModeParams, lam: float) -> "ResolventQuery":
-        beta = params.beta
-        if beta <= 1:
-            raise ConfigurationError(f"beta_tilde requires beta > 1, got beta={beta}")
-        return cls(lam=lam, beta_tilde=np.sqrt(beta**2 - 1.0))
-
 
 @dataclass(frozen=True)
 class FourierGrid:
@@ -130,10 +123,6 @@ class FourierGrid:
         return self.n >= 8.0 / self.delta
 
     # -- transforms -------------------------------------------------------
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Grid values -> coefficients of e^{i n y}, monotone n order."""
-        return np.fft.fftshift(np.fft.fft(values)) / self.n
-
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients (monotone order) -> grid values."""
         return np.fft.ifft(np.fft.ifftshift(coeffs)) * self.n

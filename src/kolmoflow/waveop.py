@@ -459,8 +459,7 @@ def _masked_norm(vals: np.ndarray, mask: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * np.sum(np.abs(vals[mask]) ** 2)))
 
 
-def intertwining_residual(omegas: dict, alpha: float, ns: list[int],
-                          margin: float = ENDPOINT_MARGIN) -> dict:
+def intertwining_residual(omegas: dict, alpha: float, ns: list[int]) -> dict:
     """Residuals of the cos-form (D1) and sin-form (D2) exchange identities.
 
     r = || D(T w) - M * D(w) + K w || / ||w|| over the valid c-grid, with
@@ -471,10 +470,10 @@ def intertwining_residual(omegas: dict, alpha: float, ns: list[int],
     The finest level is built first, so that `get_wave_operator` can cut the
     coarser levels whose n divides it by a power of two from its table.
     """
-    get_wave_operator(alpha, max(ns), margin)
+    get_wave_operator(alpha, max(ns))
     rows = []
     for n in ns:
-        op = get_wave_operator(alpha, n, margin)
+        op = get_wave_operator(alpha, n)
         y = op.y_full
         h = op.h
         for label, fn in omegas.items():
@@ -515,7 +514,7 @@ def random_smooth_profile(n: int, rng: np.random.Generator, k_max: int = 8
 
 
 def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
-                seed: int = 123, margin: float = ENDPOINT_MARGIN) -> dict:
+                seed: int = 123) -> dict:
     """Fitted-constant ratio tables for the five commutator/norm bounds.
 
     Per bound the listed ratio is (left side)/(right side with C := 1), the
@@ -535,7 +534,7 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
     for alpha in alphas:
         n_a = int(max(n, 32 * alpha))
         k_max = int(max(8, alpha))
-        op = get_wave_operator(alpha, n_a, margin)
+        op = get_wave_operator(alpha, n_a)
         y, h = op.y_full, op.h
         rng = np.random.default_rng(seed)
         fits = {k: 0.0 for k in ("D1.1", "D1.2", "estD1", "D2.1", "D6")}
@@ -578,7 +577,6 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
 
 
 def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
-                       margin: float = ENDPOINT_MARGIN,
                        fit_t_end: float | None = None) -> dict:
     """Residual of the corrected-vorticity evolution along a coupled run.
 
@@ -597,7 +595,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         raise ConfigurationError("good-unknown path requires alpha > 1")
     grid = build_grid(n, params)
     # with k3 = 0 the correction vanishes identically: g1 = g, zero rhs
-    op = get_wave_operator(params.alpha, n, margin) if use_wave else None
+    op = get_wave_operator(params.alpha, n) if use_wave else None
     h = 2.0 * np.pi / n
     y = -np.pi + h * np.arange(n)
     traj = evolve_coupled(params, f0, g0, t_end, dt, grid=grid, store_states=True)

@@ -73,6 +73,9 @@ class TestParseConfig:
                          "resolvent-sweep")
         assert v["nu"] == [0.01, 0.003]
         assert v["kind"] == "Nlambda"
+        # a list key whose default is the empty list may be left empty
+        v = parse_config("nu = 0.01\nalpha = 10\nlambda = 0\nbeta =\n", "resolvent-sweep")
+        assert v["beta"] == []
 
     def test_line_numbers_in_errors(self):
         text = "nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 0\nk_f = 1\nbogus = 3\n"
@@ -382,3 +385,33 @@ class TestOutputFiles:
         lines = (out / "pseudospectrum.csv").read_text().splitlines()
         assert lines[1] == "re,im,sigma_min"
         assert len(lines) == 2 + 64
+
+
+class TestDegenerateConfigs:
+    """Inputs that reach a division by zero or an empty list are refused as
+    configuration errors and leave no output directory."""
+
+    run = TestSweepPoolAndSeed.run
+
+    @pytest.mark.parametrize("k1, k3, gamma", [(0, 1, 0.4), (1, 0, 0.0)])
+    def test_psi_without_shear_is_a_config_error(self, tmp_path, capsys, k1, k3, gamma):
+        text = f"nu = 0.01\ngamma = {gamma}\nk1 = {k1}\nk3 = {k3}\nk_f = 1\nn = 64\n"
+        assert self.run(tmp_path, "psi", text) == EXIT_CONFIG
+        assert "k1*gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dns_zero_gamma_needs_t_end(self, tmp_path, capsys):
+        text = "nu = 0.05\ngamma = 0\nk_f = 0.5\nn = 16\nepsilon = 0\n"
+        assert self.run(tmp_path, "dns", text) == EXIT_CONFIG
+        assert "t_end" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, text, key", [
+        ("waveop", "alpha =\nlevels = 64, 128\n", "alpha"),
+        ("waveop", "alpha = 2\nlevels =\n", "levels"),
+        ("alpha1", "nu =\ngamma = 0.1\n", "nu"),
+    ])
+    def test_empty_list_key_is_a_range_error(self, tmp_path, capsys, sub, text, key):
+        assert self.run(tmp_path, sub, text) == EXIT_RANGE
+        assert f"key {key!r} wants at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -324,26 +324,6 @@ class TestForcedDecay:
         want = np.array([grid.norm_coeffs(f) for f in sol.y.T])
         assert np.max(np.abs(out["norms"] - want) / want) <= 1e-7
 
-    def test_pulse_recovers_homogeneous_rate(self):
-        p = self.params()
-        grid = build_grid(48, p)
-        rng = np.random.default_rng(5)
-        prof = grid.random_coeffs(rng)
-        spec = ForcingSpec(kind="pulse", amplitude=5.0, t0=1.0, width=0.05,
-                           h2=prof)
-        out = forced_decay(p, spec, t_end=25.0, dt=0.05, c_hat=0.4, grid=grid)
-        t, n = out["times"], out["norms"]
-        # compare the post-pulse decay with a homogeneous run from the
-        # post-pulse state
-        sel = t >= 3.0
-        post = synthetic_trajectory(t[sel] - t[sel][0], n[sel],
-                                    gamma=p.gamma, k1=p.k1)
-        fit = fit_decay_rate(post, "f", t_min=2.0)
-        f0h = grid.random_coeffs(rng)
-        hom = evolve_coupled(p, f0h, np.zeros_like(f0h), 25.0, 0.05, grid=grid)
-        fit_h = fit_decay_rate(hom, "f")
-        assert fit.rate == pytest.approx(fit_h.rate, rel=0.05)
-
     def test_cprime_validation(self):
         p = self.params()
         with pytest.raises(Exception):
