@@ -118,13 +118,13 @@ def criterion_gearhart_pruss() -> dict:
 
 # -- 4: channel structure -------------------------------------------------------
 
-def criterion_channel_structure(n: int = 96, trials: int = 20) -> dict:
+def criterion_channel_structure() -> dict:
     rng = np.random.default_rng(2024)
     details = {}
     fits = {}
     for gamma in (0.1, 0.4):
         p = ModeParams(nu=0.01, gamma=gamma, k_f=0.5, k1=1, k3=1)
-        grid = build_grid(n, p)
+        grid = build_grid(96, p)
         kappa2 = p.k1**2 + p.k3**2
         t_end = 30.0 / np.sqrt(p.k1 * gamma)
         dt = t_end / 240.0
@@ -137,7 +137,7 @@ def criterion_channel_structure(n: int = 96, trials: int = 20) -> dict:
         rate_g = ev.fit_decay_rate(traj_g, "g", t_min=2.0 / np.sqrt(gamma)).rate
         ratios = []
         rate_f = None
-        for trial in range(trials if gamma == 0.4 else 4):
+        for trial in range(20 if gamma == 0.4 else 4):
             f0 = grid.random_coeffs(rng)
             g0 = grid.random_coeffs(rng)
             f0 /= grid.norm_coeffs(f0)
@@ -386,7 +386,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(fast: bool = False, echo=print) -> dict:
+def run_all(fast: bool = False) -> dict:
     records = []
     for fn in ALL_CRITERIA:
         kw = {}
@@ -394,5 +394,5 @@ def run_all(fast: bool = False, echo=print) -> dict:
             kw["fast"] = fast
         rec = fn(**kw)
         records.append(rec)
-        echo(f"[{'PASS' if rec['passed'] else 'FAIL'}] {rec['name']}")
+        print(f"[{'PASS' if rec['passed'] else 'FAIL'}] {rec['name']}")
     return {"criteria": records, "passed": all(r["passed"] for r in records)}

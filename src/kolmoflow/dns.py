@@ -21,9 +21,8 @@ retained modes, and the forward keeps only the retained rows after each
 axis. Each transformed line sees the values it would see in the full
 irfftn/rfftn, so the step is bit-identical to stepping the whole masked
 half spectrum. The initial perturbation fills the box (the dealias
-fraction 1/3 of each axis) and `load_checkpoint` rejects coefficients off
-the box, so `tail_fraction`, the energy fraction off the box, reads
-exactly 0.
+fraction 1/3 of each axis), so `tail_fraction`, the energy fraction off the
+box, reads exactly 0.
 
 Fields are stored as normalized Fourier coefficients: v = sum c_k e^{ik.x},
 so the (0,0,0) coefficient is the volume mean and Parseval reads
@@ -32,10 +31,8 @@ spectrum kz >= 0 is held, shape (3, nx, ny, nz//2+1); the kz < 0 modes are
 the conjugates c_{-k} = conj(c_k). Sums over the full spectrum therefore
 weight each stored mode by its multiplicity: 1 on the self-conjugate kz = 0
 and Nyquist planes, 2 elsewhere (`SpectralField3D.inner`). `vhat` keeps this
-full half layout, zero off the box, so diagnostics, tables and checkpoints
-sum over the same arrays as a full-spectrum solver would. Restart files
-hold the same half layout and every `DNSConfig` field; `load_checkpoint`
-refuses a file with another shape or a missing field.
+full half layout, zero off the box, so diagnostics and tables sum over the
+same arrays as a full-spectrum solver would.
 
 `run_threshold_sweep` is the one (nu, eps) sweep: the `threshold`
 subcommand and acceptance criterion 9 both call it, and it runs its cells
@@ -44,7 +41,7 @@ serially or on a process pool of at most one worker per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +74,8 @@ class DNSConfig:
             raise ConfigurationError("resolutions must be even")
         if self.nu <= 0:
             raise ConfigurationError("nu must be positive")
+        if self.epsilon < 0:
+            raise ConfigurationError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.t_end is None:
             if self.gamma == 0:
                 raise ConfigurationError(
@@ -148,7 +147,6 @@ class SpectralField3D:
                         & (self.kz <= nz / 3.0))
         self.vhat = np.zeros((3, nx, ny, nz // 2 + 1), dtype=complex)
         self.t = 0.0
-        self.step_factors = None  # (dt, e_full, e_half, e_back) on the box, see step_imex
 
         kx, ky, kz = (np.flatnonzero(np.abs(i.ravel()) <= m / 3.0)
                       for i, m in zip(_wavenumbers(config.n), config.n))
@@ -159,6 +157,10 @@ class SpectralField3D:
         self.box_kz = self.kz[..., :rz]
         self.box_k2 = self.k2[self.box]
         self.box_k2_safe = self.k2_safe[self.box]
+        # the viscous integrating factors of step_imex, for the step config.dt
+        self.e_full = np.exp(-config.nu * self.box_k2 * config.dt)
+        self.e_half = np.exp(-config.nu * self.box_k2 * (config.dt / 2.0))
+        self.e_back = np.exp(np.minimum(config.nu * self.box_k2 * (config.dt / 2.0), 200.0))
         self._x_runs, self._y_runs = _runs(rx // 2, nx), _runs(ry // 2, ny)
         # work buffers of the step and its right-hand sides. The zero-padded
         # ones are only ever written on their retained slots. The z-line
@@ -340,8 +342,9 @@ def explicit_rhs(state: SpectralField3D, what: np.ndarray,
     return state.project_box(out)
 
 
-def step_imex(state: SpectralField3D, dt: float | None = None) -> SpectralField3D:
-    """One integrating-factor SSP-RK3 step on the retained box.
+def step_imex(state: SpectralField3D) -> SpectralField3D:
+    """One integrating-factor SSP-RK3 step of size h = config.dt on the
+    retained box.
 
     Shu-Osher stages mapped through the viscous integrating factor:
         u1     = E(h) (u0 + h N(u0))
@@ -349,19 +352,10 @@ def step_imex(state: SpectralField3D, dt: float | None = None) -> SpectralField3
         u_new  = 1/3 E(h) u0 + 2/3 E(h/2) (u_half + h N(u_half))
     u0 is gathered from `vhat` once and u_new scattered back once; the
     stages run in work buffers of the state. On the box nu k^2 h stays
-    CFL-bounded, so the E(-h/2) growth factor is harmless. The three factors
-    are cached on the state for the step size they were built for.
+    CFL-bounded, so the E(-h/2) growth factor is harmless. The state builds
+    the three factors once.
     """
-    cfg = state.config
-    h = cfg.dt if dt is None else dt
-    if state.step_factors is None or state.step_factors[0] != h:
-        k2 = state.box_k2
-        e_full = np.exp(-cfg.nu * k2 * h)
-        e_half = np.exp(-cfg.nu * k2 * (h / 2.0))
-        e_back = np.exp(np.minimum(cfg.nu * k2 * (h / 2.0), 200.0))
-        state.step_factors = (h, e_full, e_half, e_back)
-    _, e_full, e_half, e_back = state.step_factors
-
+    h = state.config.dt
     u0, u1, u_half, rhs = state._stage[:4]
 
     def euler(u):  # u + h N(u), in the rhs buffer
@@ -371,11 +365,11 @@ def step_imex(state: SpectralField3D, dt: float | None = None) -> SpectralField3
         return out
 
     u0[...] = state.vhat[state.box]
-    np.multiply(e_full, euler(u0), out=u1)
-    np.multiply(0.75 * e_half, u0, out=u_half)
-    u_half += np.multiply(0.25 * e_back, euler(u1), out=rhs)
-    u_new = np.multiply(e_full, u0, out=u1)
-    u_new += np.multiply(2.0 * e_half, euler(u_half), out=rhs)
+    np.multiply(state.e_full, euler(u0), out=u1)
+    np.multiply(0.75 * state.e_half, u0, out=u_half)
+    u_half += np.multiply(0.25 * state.e_back, euler(u1), out=rhs)
+    u_new = np.multiply(state.e_full, u0, out=u1)
+    u_new += np.multiply(2.0 * state.e_half, euler(u_half), out=rhs)
     u_new /= 3.0
     if not np.all(np.isfinite(u_new)):
         raise FloatingPointError("non-finite state: numerical blow-up")
@@ -597,37 +591,3 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return ThresholdMap(rows=list(pool.map(_sweep_row, cells)))
-
-
-# ---------------------------------------------------------------------------
-# restart checkpoints
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(state: SpectralField3D, path) -> None:
-    """Columnar restart file: every DNSConfig field, the time, and the
-    half-spectrum coefficient array (3, nx, ny, nz//2+1) as complex128."""
-    cfg = state.config
-    np.savez(path, vhat=state.vhat, t=state.t,
-             **{f.name: getattr(cfg, f.name) for f in fields(DNSConfig)})
-
-
-def load_checkpoint(path) -> SpectralField3D:
-    """Restart state of a `save_checkpoint` file. A file that lacks a
-    DNSConfig field, holds vhat in another shape or has coefficients off the
-    dealias box is refused with ValueError."""
-    with np.load(path) as data:
-        missing = [f.name for f in fields(DNSConfig) if f.name not in data.files]
-        if missing:
-            raise ValueError(f"checkpoint lacks the DNSConfig field(s) {missing}")
-        kw = {f.name: data[f.name].item() for f in fields(DNSConfig) if f.name != "n"}
-        state = SpectralField3D(DNSConfig(n=tuple(int(m) for m in data["n"]), **kw))
-        vhat = data["vhat"]
-        if vhat.shape != state.vhat.shape:
-            raise ValueError(f"checkpoint vhat has shape {vhat.shape}; expected "
-                             f"{state.vhat.shape}")
-        if np.any(vhat[:, ~state.dealias]):
-            raise ValueError("checkpoint vhat has nonzero coefficients outside the "
-                             "2/3 dealias box")
-        state.vhat = vhat
-        state.t = float(data["t"])
-    return state

@@ -180,7 +180,7 @@ def coupled_generators(params: ModeParams, grid: FourierGrid
     a_h = mode_h.dense() + params.nu * kappa2 * eye
     n = grid.wavenumbers
     hinv = 1.0 / (params.alpha**2 + n**2)
-    cos_mat = OperatorMatrix("Generic", multiplication_matrix("cos", grid.n)).dense()
+    cos_mat = OperatorMatrix(multiplication_matrix("cos", grid.n)).dense()
     coupling = (1j * params.k3 / params.k_f**3) * (params.gamma / params.nu) * (
         cos_mat * hinv[None, :])
     return a_l, a_h, coupling
@@ -247,10 +247,11 @@ def semigroup_norm_curve(op: OperatorMatrix | np.ndarray, times: np.ndarray,
     that gap: scan_error is the lam-width of the refined golden-section
     bracket, not a bound on psi - inf (a dip between coarse scan points is
     not covered).
+
+    Norms are in the star metric when `metric` is given and euclidean
+    otherwise; pass the metric psi was scanned in (ModeL needs the star one).
     """
     a = op.dense() if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    if isinstance(op, OperatorMatrix) and op.kind == "ModeL" and metric is None:
-        raise ConfigurationError("ModeL semigroup norms must use the star metric")
     times = np.asarray(times, dtype=float)
     if not (len(times) > 2 and times[0] == 0.0
             and np.allclose(np.diff(times), times[1] - times[0])):

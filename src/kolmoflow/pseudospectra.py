@@ -40,6 +40,7 @@ from .spectral import (
     ConfigurationError,
     ModeParams,
     OperatorMatrix,
+    REGIME_FACTOR,
     ResolventQuery,
     StarMetric,
     assemble_L_lambda,
@@ -129,7 +130,7 @@ def _norm_bound(op: OperatorMatrix) -> float:
     """sqrt(||M||_1 ||M||_inf) >= ||M||_2: the column sums of |M| are those
     of its band array, the row sums are |M| applied to a vector of ones."""
     a = np.abs(op.ab)
-    row = OperatorMatrix(op.kind, a).matvec(np.ones(op.n)).real
+    row = OperatorMatrix(a).matvec(np.ones(op.n)).real
     return float(np.sqrt(a.sum(axis=0).max() * row.max()))
 
 
@@ -169,7 +170,7 @@ def _jordan_wielandt(m: OperatorMatrix, s: float) -> OperatorMatrix:
         ab[k + 2 * o - 1, 1::2] = m.ab[b + o]
         c0, c1 = max(0, -o), min(n, n - o)
         ab[k - 2 * o + 1, 2 * (c0 + o):2 * (c1 + o):2] = np.conj(m.ab[b + o, c0:c1])
-    return OperatorMatrix("Generic", ab)
+    return OperatorMatrix(ab)
 
 
 def _sigma_min_bisect_polish(m: OperatorMatrix) -> float:
@@ -400,13 +401,12 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
     beta_list = [None] if kind == "Nlambda" else list(betas)
     for nu in nus:
         for alpha in alphas:
-            if abs(alpha) < 100.0 * nu**2:
+            if abs(alpha) < REGIME_FACTOR * nu**2:
                 rows.append({"kind": kind, "nu": nu, "alpha": alpha,
                              "flag": "regime", "ratio": np.nan})
                 continue
             params = ModeParams(nu=nu, gamma=max(abs(alpha), 1.0), k_f=1.0, k1=1, k3=0)
-            delta = abs(alpha) ** -0.25 * np.sqrt(nu)
-            n = _pick_n(delta)
+            n = _pick_n(params.layer_scale(alpha))
             grid = build_grid(n, params, alpha=alpha)
             inadequate = not grid.adequate
             for beta in beta_list:
@@ -461,9 +461,8 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
         raise ConfigurationError(
             "Psi needs k1*gamma != 0: with k1 = 0 or gamma = 0 the shear term "
             "and the critical-layer scale vanish")
-    delta = abs(alpha_res) ** -0.25 * np.sqrt(params.nu)
     if n is None:
-        n = _pick_n(delta)
+        n = _pick_n(params.layer_scale(alpha_res))
     grid = build_grid(n, params, alpha=alpha_res)
     mode_l, mode_h = assemble_mode_operators(params, grid)
     query = default_psi_query(params, scan_count=scan_count)
@@ -481,12 +480,11 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
 
 
 def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",
-                    n: int | None = None, scan_count: int = 128
-                    ) -> tuple[EmpiricalConstants, list[dict]]:
+                    scan_count: int = 128) -> tuple[EmpiricalConstants, list[dict]]:
     """Psi_hat / (sqrt|k1 gamma| * factor) table; c_hat := min over the sweep."""
     rows = []
     for p in sweep_params:
-        res = psi_for_params(p, which, n=n, scan_count=scan_count)
+        res = psi_for_params(p, which, scan_count=scan_count)
         factor = (1.0 - p.beta**-2) if which == "L" else 1.0
         denom = np.sqrt(abs(p.k1 * p.gamma)) * factor
         rows.append({

@@ -19,11 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: kind tags an OperatorMatrix may carry ("Generic" wraps externally
-#: supplied matrices, e.g. small closed-form test fixtures)
-OPERATOR_KINDS = ("Nlambda", "Llambda", "ModeL", "ModeH", "L1", "HelmholtzInv",
-                  "QProj", "Generic")
-
 #: operationalization of the asymptotic regime condition "amplitude >> nu^2"
 REGIME_FACTOR = 100.0
 
@@ -178,17 +173,15 @@ class OperatorMatrix:
     n and the half-bandwidth b are read off its shape. scipy's
     solve_banded reads `ab` as it is, and the sigma_min kernel builds its
     Gram band M^*M and its Jordan-Wielandt band from its rows; nothing
-    re-packs diagonals per call. `diags` is a derived view. Instances are
-    treated as immutable after assembly and are safe to share across
-    workers.
+    re-packs diagonals per call. `diags` is a derived view. The band array
+    is all an operator holds: `OperatorMatrix(ab)` wraps one, `from_dense`
+    packs a dense matrix. Instances are treated as immutable after assembly
+    and are safe to share across workers.
     """
 
-    kind: str
     ab: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ConfigurationError(f"unknown operator kind {self.kind!r}")
         self.ab = np.asarray(self.ab, dtype=complex)
         if self.ab.ndim != 2 or self.ab.shape[0] % 2 != 1:
             raise ConfigurationError("band array must have shape (2b+1, n)")
@@ -243,24 +236,23 @@ class OperatorMatrix:
         moves the real part of the spectrum too)."""
         ab = self.ab.copy()
         ab[self.b] -= 1j * lam
-        return OperatorMatrix(self.kind, ab)
+        return OperatorMatrix(ab)
 
     def scaled_similarity(self, w_sqrt: np.ndarray) -> "OperatorMatrix":
         """Return W^(1/2) A W^(-1/2) for diagonal weights (w_sqrt = W^(1/2))."""
         inside, rows, cols = _band_index(self.b, self.n)
         ab = np.zeros_like(self.ab)
         ab[inside] = self.ab[inside] * w_sqrt[rows] / w_sqrt[cols]
-        return OperatorMatrix(self.kind, ab)
+        return OperatorMatrix(ab)
 
     def restricted(self, keep: np.ndarray) -> "OperatorMatrix":
         """Restrict to the index subset `keep` (boolean mask). Dropping
         rows and columns never widens the band."""
         a = self.dense()[np.ix_(keep, keep)]
-        return OperatorMatrix.from_dense(a, self.kind, bandwidth=self.bandwidth)
+        return OperatorMatrix.from_dense(a, bandwidth=self.bandwidth)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, kind: str = "Generic",
-                   bandwidth: int | None = None) -> "OperatorMatrix":
+    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None) -> "OperatorMatrix":
         """Band array of `a`, as narrow as its nonzero diagonals allow; a
         caller that knows `a` has no entry beyond offset `bandwidth` passes
         it to skip scanning the rest."""
@@ -272,7 +264,7 @@ class OperatorMatrix:
         inside, rows, cols = _band_index(b, m)
         ab = np.zeros((2 * b + 1, m), dtype=complex)
         ab[inside] = a[rows, cols]
-        return cls(kind, ab)
+        return cls(ab)
 
 
 def _main_diagonal(v: np.ndarray) -> np.ndarray:
@@ -305,7 +297,7 @@ def helmholtz_inverse(beta: float, grid: FourierGrid) -> OperatorMatrix:
     if beta <= 0:
         raise ConfigurationError("helmholtz_inverse requires beta > 0")
     n = grid.wavenumbers
-    return OperatorMatrix("HelmholtzInv", (1.0 / (beta**2 + n**2)).astype(complex)[None, :])
+    return OperatorMatrix((1.0 / (beta**2 + n**2)).astype(complex)[None, :])
 
 
 def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
@@ -316,7 +308,7 @@ def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     n = grid.wavenumbers
     ab = (_main_diagonal((1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2)
           + (1j * a / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix("Nlambda", ab)
+    return OperatorMatrix(ab)
 
 
 def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGrid,
@@ -344,12 +336,12 @@ def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGr
             raise ConfigurationError("u-form requires beta_tilde > 0")
         hinv = 1.0 / (bt**2 + n**2)
         ab = _main_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b
-        return OperatorMatrix("Llambda", ab)
+        return OperatorMatrix(ab)
     if b <= 0:
         raise ConfigurationError("Llambda requires beta > 0")
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
     ab = _main_diagonal(visc + c * (-lam)) + c * (sin_b * one_minus_h[None, :])
-    return OperatorMatrix("Llambda", ab)
+    return OperatorMatrix(ab)
 
 
 def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -366,9 +358,9 @@ def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[Oper
     n = grid.wavenumbers
     visc = _main_diagonal(nu * kf**2 * n.astype(complex) ** 2)
     sin_b = multiplication_matrix("sin", grid.n)
-    mode_h = OperatorMatrix("ModeH", visc + c * sin_b)
+    mode_h = OperatorMatrix(visc + c * sin_b)
     one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    mode_l = OperatorMatrix("ModeL", visc + c * (sin_b * one_minus_h[None, :]))
+    mode_l = OperatorMatrix(visc + c * (sin_b * one_minus_h[None, :]))
     return mode_l, mode_h
 
 
@@ -379,15 +371,15 @@ def assemble_L1(nu: float, beta: float, grid: FourierGrid) -> OperatorMatrix:
     n = grid.wavenumbers
     ab = (_main_diagonal(-nu * (n.astype(complex) ** 2 + 1.0))
           + (-1j * beta / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix("L1", ab)
+    return OperatorMatrix(ab)
 
 
 def mean_projections(grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(Q1, P1): Q1 zeroes the n=0 coefficient, P1 keeps only it."""
     q = (grid.wavenumbers != 0).astype(complex)
     return (
-        OperatorMatrix("QProj", q[None, :]),
-        OperatorMatrix("QProj", 1.0 - q[None, :]),
+        OperatorMatrix(q[None, :]),
+        OperatorMatrix(1.0 - q[None, :]),
     )
 
 

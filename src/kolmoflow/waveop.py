@@ -56,7 +56,8 @@ class RayleighProfile:
     dense_left: object
     dense_right: object
 
-    def check_invariants(self, tol: float = 1e-8) -> None:
+    def check_invariants(self) -> None:
+        tol = 1e-8  # relative slack of the phi1 >= 1 and monotonicity checks
         # normalization: the tabulated values next to y_c must match the
         # regular series seeded at phi1(y_c)=1, phi1'(y_c)=0
         i = np.argmin(np.abs(self.y - self.y_c))
@@ -203,6 +204,12 @@ def compute_coefficients(prof: RayleighProfile) -> WaveOpCoefficients:
                               j1=float(j1), a1=float(a1), b1=float(b1), rho=float(rho))
 
 
+def _check_grid_size(n: int) -> None:
+    if n < 8 or n % 4 != 0:
+        raise ConfigurationError(
+            f"wave-operator grid size must be a multiple of 4 and at least 8, got {n}")
+
+
 class WaveOperator:
     """D1/D2 realized on a uniform full-period grid y_j = -pi + 2 pi j / N.
 
@@ -213,8 +220,7 @@ class WaveOperator:
 
     def __init__(self, alpha: float, n: int, margin: float = ENDPOINT_MARGIN,
                  _defer: bool = False):
-        if n % 4 != 0:
-            raise ConfigurationError("wave-operator grid size must be divisible by 4")
+        _check_grid_size(n)
         self.alpha = float(alpha)
         self.n = int(n)
         self.margin = float(margin)
@@ -376,6 +382,7 @@ def get_wave_operator(alpha: float, n: int, margin: float = ENDPOINT_MARGIN) -> 
     output is evaluated point by point, and the coarse grid points are
     exactly every r-th fine grid point.
     """
+    _check_grid_size(n)
     key = (round(float(alpha), 12), int(n), round(float(margin), 12))
     if key not in _OPERATOR_CACHE:
         fine = min((op for (a, nf, mg), op in _OPERATOR_CACHE.items()
@@ -586,16 +593,18 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     valid region (masked c-points are cubic-interpolated and flagged), and
     reported relative to ||f|| + ||g||. A separate longer run fits the g1
     decay and compares pure-exponential vs (1+at)-prefactor models.
+
+    k3 = 0 leaves no correction to check and k1 = 0 no coupling k3/(k1 k_f),
+    so both raise ConfigurationError; otherwise alpha >= sqrt(2)/k_f > 1.
     """
     from .evolution import evolve_coupled, fit_decay_rate, Trajectory
     from .spectral import build_grid
 
-    use_wave = params.k3 != 0
-    if params.alpha <= 1.0 and use_wave:
-        raise ConfigurationError("good-unknown path requires alpha > 1")
+    if params.k1 == 0 or params.k3 == 0:
+        raise ConfigurationError(
+            f"the good unknown needs k1 != 0 and k3 != 0, got k1={params.k1}, k3={params.k3}")
     grid = build_grid(n, params)
-    # with k3 = 0 the correction vanishes identically: g1 = g, zero rhs
-    op = get_wave_operator(params.alpha, n) if use_wave else None
+    op = get_wave_operator(params.alpha, n)
     h = 2.0 * np.pi / n
     y = -np.pi + h * np.arange(n)
     traj = evolve_coupled(params, f0, g0, t_end, dt, grid=grid, store_states=True)
@@ -610,9 +619,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     rhs_scale = params.nu * params.k_f * params.k3 / params.k1
 
     def corrected(f_full, g_full):
-        """(g1, filled D2(f), its mask) on the wave grid; g1 = g when k3 = 0."""
-        if not use_wave:
-            return g_full, None, np.ones(n, dtype=bool)
+        """(g1, filled D2(f), its mask) on the wave grid."""
         d2f, mask = op.apply_D2(f_full)
         d2f_filled = fill_masked(d2f, mask, y)
         return g_full + couple * np.cos(y) * d2f_filled, d2f_filled, mask
@@ -625,10 +632,6 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         fnorms.append(np.sqrt(h * np.sum(np.abs(f_full) ** 2))
                       + np.sqrt(h * np.sum(np.abs(g_full) ** 2)))
         g1s.append(g1)
-        if not use_wave:
-            masks.append(mask)
-            rhss.append(np.zeros(n, dtype=complex))
-            continue
         # commutator right-hand side
         fpp_full = to_wave_grid(-(grid.wavenumbers**2) * f_c)
         d2_fpp, mask2 = op.apply_D2(fpp_full)
@@ -645,12 +648,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         mask = masks[i]
         dg1 = (g1s[i - 2] - 8 * g1s[i - 1] + 8 * g1s[i + 1] - g1s[i + 2]) / (12 * dt)
         g1 = g1s[i]
-        if use_wave:
-            lap_g1, mok = fd_derivative(g1, mask, h, order=2)
-        else:
-            # nothing is masked: the exact spectral derivative applies
-            lap_g1 = spectral_second_derivative(g1)
-            mok = mask
+        lap_g1, mok = fd_derivative(g1, mask, h, order=2)
         hg1 = -params.nu * params.k_f**2 * lap_g1 + scale * np.sin(y) * g1
         res = dg1 + params.nu * kappa2 * g1 + hg1 - rhss[i]
         mm = mask & mok

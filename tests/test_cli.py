@@ -406,6 +406,18 @@ class TestDegenerateConfigs:
         assert "t_end" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_threshold_negative_epsilon_is_a_config_error(self, tmp_path, capsys):
+        text = "nu = 0.05\nepsilon = -0.5, 0.5\nk_f = 0.5\nn = 16\n"
+        assert self.run(tmp_path, "threshold", text) == EXIT_CONFIG
+        assert "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("levels", ["0", "4", "-4", "64, 0"])
+    def test_waveop_level_below_eight_is_a_config_error(self, tmp_path, capsys, levels):
+        assert self.run(tmp_path, "waveop", f"alpha = 2\nlevels = {levels}\n") == EXIT_CONFIG
+        assert "at least 8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("sub, text, key", [
         ("waveop", "alpha =\nlevels = 64, 128\n", "alpha"),
         ("waveop", "alpha = 2\nlevels =\n", "levels"),

@@ -12,7 +12,7 @@ from kolmoflow.spectral import (
     assemble_mode_operators,
     build_grid,
 )
-from kolmoflow.pseudospectra import PsiQuery, PsiResult, compute_psi, psi_for_params
+from kolmoflow.pseudospectra import PsiQuery, compute_psi, psi_for_params
 from kolmoflow.evolution import (
     DecayFit,
     ForcingSpec,
@@ -180,15 +180,6 @@ class TestSemigroupCurve:
         for times in (np.array([0.0, 0.5, 2.0, 3.0]), np.linspace(1.0, 5.0, 9)):
             with pytest.raises(ConfigurationError):
                 semigroup_norm_curve(a, times, psi)
-
-    def test_modeL_requires_metric(self):
-        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
-        grid = build_grid(32, p)
-        ml, _ = assemble_mode_operators(p, grid)
-        psi = PsiResult(psi=1.0, lam_star=0.0, lam_grid=np.array([0.0]),
-                        sigma_grid=np.array([1.0]), converged=True, scan_error=0.0)
-        with pytest.raises(Exception):
-            semigroup_norm_curve(ml, np.linspace(0, 1, 5), psi)
 
 
 def synthetic_trajectory(times, values, gamma=1.0, k1=1):

@@ -490,7 +490,7 @@ class TestPsiSweep:
     def test_h_sweep_scaling_and_stability(self):
         sweep = [ModeParams(nu=0.01, gamma=g, k_f=kf, k1=k1, k3=0)
                  for g in (0.1, 0.4) for kf in (0.5, 1.0) for k1 in (1, 2)]
-        c_hat, rows = psi_bound_sweep(sweep, which="H", n=256, scan_count=96)
+        c_hat, rows = psi_bound_sweep(sweep, which="H", scan_count=96)
         assert c_hat.value > 0
         assert c_hat.decade_ratio <= 3.0
 

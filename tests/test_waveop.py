@@ -317,28 +317,13 @@ class TestBoundSweep:
 
 
 class TestGoodUnknown:
-    def test_k3_zero_reduces_to_g_equation(self):
-        # with k3=0 the correction vanishes and the residual is the plain
-        # autonomous g-equation mismatch of the time stencil
-        p = ModeParams(nu=0.05, gamma=0.3, k_f=1.0, k1=1, k3=0)
-        grid = build_grid(64, p)
-        rng = np.random.default_rng(2)
-        f0 = smooth_mode_data(grid, rng)
-        g0 = smooth_mode_data(grid, rng)
-        out = good_unknown_check(p, f0, g0, t_end=0.005, dt=5e-5, n=64)
-        assert out["residual"] <= 1e-8
-
-    def test_k3_zero_fit_is_the_g_decay(self):
-        # with k3=0 the fitted g1 decay is the decay of g itself
-        from kolmoflow.evolution import evolve_coupled, fit_decay_rate
-        p = ModeParams(nu=0.05, gamma=0.3, k_f=1.0, k1=1, k3=0)
-        grid = build_grid(64, p)
-        rng = np.random.default_rng(2)
-        f0 = smooth_mode_data(grid, rng)
-        g0 = smooth_mode_data(grid, rng)
-        out = good_unknown_check(p, f0, g0, t_end=0.005, dt=5e-5, n=64, fit_t_end=5.0)
-        traj = evolve_coupled(p, f0, g0, 5.0, 5.0 / 400.0, grid=grid)
-        assert out["g1_rate"] == pytest.approx(fit_decay_rate(traj, "g").rate, rel=1e-9)
+    @pytest.mark.parametrize("k1, k3", [(1, 0), (0, 1)])
+    def test_needs_nonzero_k1_and_k3(self, k1, k3):
+        # k3 = 0 leaves no correction to check; k1 = 0 leaves k3/(k1 k_f) undefined
+        p = ModeParams(nu=0.05, gamma=0.3, k_f=1.0, k1=k1, k3=k3)
+        f0 = np.zeros(64, dtype=complex)
+        with pytest.raises(ConfigurationError, match="k1 != 0 and k3 != 0"):
+            good_unknown_check(p, f0, f0, t_end=0.005, dt=5e-5, n=64)
 
     def test_criterion_point_and_refinement(self):
         p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
