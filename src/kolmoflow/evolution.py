@@ -11,6 +11,18 @@ and removes integrator error from rate fits). The coupled system is evolved
 by one exponential of its 2N x 2N block generator, whose lower-left block is
 the Duhamel integral of the coupling (Van Loan, IEEE Trans. Autom. Control
 23, 1978), so no quadrature is involved.
+
+Work that repeats with identical inputs is done once, so every result has
+the bits it would have if it were redone:
+- the last propagator of each kind (the block step of `evolve_coupled`, the
+  A_L steps at dt and dt/2 of `forced_decay`) is kept read-only, keyed by
+  everything its generator reads (ModeParams, grid size, dt); callers that
+  repeat a key do so in consecutive calls, so one entry per kind suffices;
+- a trajectory's channel norms are taken state by state, with the
+  derivative factor and the mean mask built once per trajectory;
+- `alpha1_suite` solves L1 once for all its right-hand sides (the random
+  ensemble, then the whole trajectory) and reads <L1^{-1} f, 1> off the
+  n = 0 row of the solution.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import numpy as np
 from scipy.linalg import expm, solve_banded, svdvals
 
 from .spectral import (
+    TWO_PI,
     ConfigurationError,
     FourierGrid,
     ModeParams,
@@ -77,10 +90,10 @@ class DecayFit:
 class ForcingSpec:
     """Divergence-form forcing for the f equation.
 
-    The source is F(t) = envelope(t) * (i k1 h1 + d/dy h2 + i k3 h3) built
-    from three fixed coefficient profiles, so it is a divergence by
-    construction. Envelope kinds: "zero" and "sustained"
-    (amplitude * exp(-c_weight*sqrt|gamma|*t)).
+    The source is F(t) = envelope(t) * divergence, with the divergence
+    i k1 h1 + d/dy h2 + i k3 h3 built once from three fixed coefficient
+    profiles, so it is a divergence by construction. Envelope kinds: "zero"
+    and "sustained" (amplitude * exp(-c_weight*sqrt|gamma|*t)).
     """
 
     kind: str
@@ -97,15 +110,16 @@ class ForcingSpec:
             return self.amplitude * np.exp(-self.c_weight * np.sqrt(abs(gamma)) * t)
         raise ConfigurationError(f"unknown forcing kind {self.kind!r}")
 
-    def source(self, t: float, params: ModeParams, grid: FourierGrid) -> np.ndarray:
+    def divergence(self, params: ModeParams, grid: FourierGrid) -> np.ndarray:
+        """The profile i k1 h1 + d/dy h2 + i k3 h3 that the envelope scales
+        (zero for the "zero" kind)."""
         if self.kind == "zero":
             return np.zeros(grid.n, dtype=complex)
         n = grid.wavenumbers
         h1 = self.h1 if self.h1 is not None else np.zeros(grid.n, dtype=complex)
         h2 = self.h2 if self.h2 is not None else np.zeros(grid.n, dtype=complex)
         h3 = self.h3 if self.h3 is not None else np.zeros(grid.n, dtype=complex)
-        div = 1j * params.k1 * h1 + 1j * n * h2 + 1j * params.k3 * h3
-        return self.envelope(t, params.gamma) * div
+        return 1j * params.k1 * h1 + 1j * n * h2 + 1j * params.k3 * h3
 
 
 @dataclass
@@ -160,6 +174,28 @@ def propagator(op: OperatorMatrix | np.ndarray, t: float,
     return expm(-t * a)
 
 
+# kind -> ((params, grid size, dt), read-only propagators): the last entry only
+_LAST_PROPAGATORS: dict[str, tuple[tuple, tuple[np.ndarray, ...]]] = {}
+
+
+def _last_propagators(kind: str, params: ModeParams, grid: FourierGrid, dt: float,
+                      build) -> tuple[np.ndarray, ...]:
+    """The propagators `build()` returns for this key, built only when the
+    last entry of `kind` has another key. The generators read nothing but
+    the ModeParams fields, grid.n and dt, so the key is complete, and the
+    arrays are read-only because every later caller of the key shares them."""
+    key = (params, grid.n, dt)
+    if kind in _LAST_PROPAGATORS and _LAST_PROPAGATORS[kind][0] == key:
+        return _LAST_PROPAGATORS[kind][1]
+    # drop the old entry first, so it is not held while `build` runs
+    _LAST_PROPAGATORS.pop(kind, None)
+    mats = build()
+    for m in mats:
+        m.flags.writeable = False
+    _LAST_PROPAGATORS[kind] = (key, mats)
+    return mats
+
+
 def operator_norm(mat: np.ndarray, metric: StarMetric | None = None) -> float:
     if metric is not None:
         w = metric.sqrt_weights()
@@ -187,13 +223,17 @@ def coupled_generators(params: ModeParams, grid: FourierGrid
 
 
 def _traj_from_states(times, fs, gs, params, grid, store_states) -> Trajectory:
-    n = grid.wavenumbers
-    q1 = (n != 0)
-    nf = np.array([grid.norm_coeffs(f) for f in fs])
-    ng = np.array([grid.norm_coeffs(g) for g in gs])
-    nq = np.array([grid.norm_coeffs(np.where(q1, f, 0)) for f in fs])
-    npn = np.array([grid.norm_coeffs(np.where(~q1, f, 0)) for f in fs])
-    nd = np.array([grid.norm_coeffs(1j * n * f) for f in fs])
+    """Channel norms of the states fs (and gs; None means g = 0), one state
+    at a time, so no temporary is as large as the trajectory."""
+    norm = grid.norm_coeffs
+    q1 = grid.wavenumbers != 0
+    p1 = ~q1
+    dy = 1j * grid.wavenumbers
+    nf = np.array([norm(f) for f in fs])
+    ng = np.zeros(len(fs)) if gs is None else np.array([norm(g) for g in gs])
+    nq = np.array([norm(np.where(q1, f, 0)) for f in fs])
+    npn = np.array([norm(np.where(p1, f, 0)) for f in fs])
+    nd = np.array([norm(dy * f) for f in fs])
     return Trajectory(
         times=np.asarray(times), norm_f=nf, norm_g=ng, norm_q1f=nq,
         norm_p1f=npn, norm_dyf=nd, params=params, grid=grid,
@@ -214,22 +254,24 @@ def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
     """
     if grid is None:
         grid = build_grid(128, params)
-    a_l, a_h, coupling = coupled_generators(params, grid)
+    n = grid.n
+
+    def block_step():
+        a_l, a_h, coupling = coupled_generators(params, grid)
+        gen = np.zeros((2 * n, 2 * n), dtype=complex)
+        gen[:n, :n] = -a_l
+        gen[n:, :n] = coupling
+        gen[n:, n:] = -a_h
+        return (propagator(-gen, dt),)  # e^{dt * gen}
+
+    e, = _last_propagators("block", params, grid, dt, block_step)
     steps = int(np.ceil(t_end / dt - 1e-12))
     times = np.arange(steps + 1) * dt
-    fs, gs = [np.asarray(f0, dtype=complex)], [np.asarray(g0, dtype=complex)]
-    n = grid.n
-    gen = np.zeros((2 * n, 2 * n), dtype=complex)
-    gen[:n, :n] = -a_l
-    gen[n:, :n] = coupling
-    gen[n:, n:] = -a_h
-    e = propagator(-gen, dt)  # e^{dt * gen}
-    state = np.concatenate([fs[0], gs[0]])
+    states = [np.concatenate([f0, g0]).astype(complex, copy=False)]
     for _ in range(steps):
-        state = e @ state
-        fs.append(state[:n].copy())
-        gs.append(state[n:].copy())
-    return _traj_from_states(times, fs, gs, params, grid, store_states)
+        states.append(e @ states[-1])
+    return _traj_from_states(times, [s[:n] for s in states], [s[n:] for s in states],
+                             params, grid, store_states)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +328,19 @@ def fit_decay_rate(traj: Trajectory, channel: str = "f", prefactor: bool = False
 
     The window starts at t = 2/sqrt|k1 gamma| (the envelope constants absorb
     transients; fitting earlier contaminates rates) and is cut at
-    the first crossing of DECAY_FLOOR. With `prefactor`, fits C e^{-at}(1+at)
-    instead of a pure exponential.
+    the first crossing of DECAY_FLOOR. With k1*gamma = 0 that default start
+    is infinite, so `t_min` must be given. With `prefactor`, fits
+    C e^{-at}(1+at) instead of a pure exponential.
     """
     y = traj.channel(channel)
     t = traj.times
     if t_min is None:
-        t_min = 2.0 / np.sqrt(abs(traj.params.k1 * traj.params.gamma))
+        k1_gamma = traj.params.k1 * traj.params.gamma
+        if k1_gamma == 0.0:
+            raise ConfigurationError(
+                "the default decay-fit window starts at 2/sqrt|k1*gamma|, which is "
+                "infinite with k1 = 0 or gamma = 0")
+        t_min = 2.0 / np.sqrt(abs(k1_gamma))
     keep = t >= t_min
     above = y > DECAY_FLOOR
     if above.any():
@@ -441,12 +489,12 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
     op = assemble_L1(nu, beta, grid)
     rng = np.random.default_rng(seed)
 
-    # (i) inverse bounds on a random ensemble
+    # (i) inverse bounds on a random ensemble, solved as one block of columns
+    ws = np.array([grid.random_coeffs(rng) for _ in range(n_random)])
+    us = _l1_banded_solve(op, ws.T).T
     up2 = []
     up1 = []
-    for _ in range(n_random):
-        w = grid.random_coeffs(rng)
-        u = _l1_banded_solve(op, w)
+    for w, u in zip(ws, us):
         nw = grid.norm_coeffs(w)
         up2.append(grid.norm_coeffs(u) * abs(beta) ** (2 / 3) * nu ** (-1 / 3) / nw)
         u_grid = grid.to_grid(u)
@@ -467,18 +515,20 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
     e = propagator(gen, dt)
     f0 = grid.random_coeffs(rng, mean_zero=True)
     f0 /= grid.norm_coeffs(f0)
-    fs = [f0]
-    for _ in range(steps):
-        fs.append(e @ fs[-1])
+    fs = np.empty((steps + 1, grid.n), dtype=complex)
+    fs[0] = f0
+    for j in range(steps):
+        fs[j + 1] = e @ fs[j]
 
-    # (iii) conserved functional <L1^{-1} f, 1>(t) = e^{-nu t} <L1^{-1} f0, 1>
-    inv_proj = np.array([grid.inner_coeffs(_l1_banded_solve(op, f), one) for f in fs])
+    # (iii) conserved functional <L1^{-1} f, 1>(t) = e^{-nu t} <L1^{-1} f0, 1>;
+    # `one` is the n = 0 unit vector, so the inner product is 2*pi times the
+    # n = 0 row of the solution
+    inv_proj = TWO_PI * _l1_banded_solve(op, fs.T)[grid.wavenumbers == 0][0]
     ref = inv_proj[0] * np.exp(-nu * times)
     drift = float(np.max(np.abs(inv_proj - ref)) / abs(inv_proj[0]))
 
     # (iv) channel fits
-    traj = _traj_from_states(times, fs, [np.zeros_like(f) for f in fs], params, grid,
-                             store_states=False)
+    traj = _traj_from_states(times, fs, None, params, grid, store_states=False)
     fit_q1 = fit_decay_rate(traj, "Q1f")
     p1 = traj.norm_p1f
     loss = abs(gamma) ** (1 / 6) * nu ** (-1 / 3)
@@ -525,38 +575,44 @@ def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
             f"c'={c_prime} must be < fitted c_hat={c_hat} (weighted integrals diverge)")
     if grid is None:
         grid = build_grid(96, params)
-    a_l, _, _ = coupled_generators(params, grid)
+
+    def a_l_steps():
+        a_l, _, _ = coupled_generators(params, grid)
+        return propagator(a_l, dt), propagator(a_l, dt / 2.0)
+
+    e, e2 = _last_propagators("A_L", params, grid, dt, a_l_steps)
     steps = int(np.ceil(t_end / dt - 1e-12))
     times = np.arange(steps + 1) * dt
-    e = propagator(a_l, dt)
-    e2 = propagator(a_l, dt / 2.0)
     f = np.zeros(grid.n, dtype=complex) if f0 is None else np.asarray(f0, complex)
-    n = grid.wavenumbers
+    norm = grid.norm_coeffs
+    dy = 1j * grid.wavenumbers
+    div = source.divergence(params, grid)
     kappa2 = params.k1**2 + params.k3**2
 
-    def grad_norm(c):
-        return np.sqrt(kappa2 * grid.norm_coeffs(c) ** 2
-                       + params.k_f**2 * grid.norm_coeffs(1j * n * c) ** 2)
+    def source_at(t):
+        return source.envelope(t, params.gamma) * div
+
+    def grad_norm(c, norm_c):
+        return np.sqrt(kappa2 * norm_c ** 2 + params.k_f**2 * norm(dy * c) ** 2)
 
     acc = NormAccumulators(c_prime=c_prime, gamma=params.k1 * params.gamma, nu=params.nu)
-    acc.update(0.0, grid.norm_coeffs(f), grad_norm(f))
+    norms = [norm(f)]
+    acc.update(0.0, norms[0], grad_norm(f, norms[0]))
     sqg = np.sqrt(abs(params.k1 * params.gamma))
     src_integral = 0.0
-    prev_src = np.exp(2 * c_prime * sqg * 0.0) * grid.norm_coeffs(
-        source.source(0.0, params, grid)) ** 2
-    norms = [grid.norm_coeffs(f)]
+    prev_src = np.exp(2 * c_prime * sqg * 0.0) * norm(source_at(0.0)) ** 2
     for j in range(steps):
         t = times[j]
-        s0 = source.source(t, params, grid)
-        s1 = source.source(t + dt / 2.0, params, grid)
-        s2 = source.source(t + dt, params, grid)
+        s0 = source_at(t)
+        s1 = source_at(t + dt / 2.0)
+        s2 = source_at(t + dt)
         f = e @ f + (dt / 6.0) * (e @ s0 + 4.0 * (e2 @ s1) + s2)
         tn = times[j + 1]
-        acc.update(tn, grid.norm_coeffs(f), grad_norm(f))
-        cur_src = np.exp(2 * c_prime * sqg * tn) * grid.norm_coeffs(s2) ** 2
+        norms.append(norm(f))
+        acc.update(tn, norms[-1], grad_norm(f, norms[-1]))
+        cur_src = np.exp(2 * c_prime * sqg * tn) * norm(s2) ** 2
         src_integral += 0.5 * dt * (prev_src + cur_src)
         prev_src = cur_src
-        norms.append(grid.norm_coeffs(f))
     f0_sq = norms[0] ** 2
     rhs = f0_sq + src_integral / params.nu
     c_fit = acc.x_norm_sq / rhs if rhs > 0 else np.inf

@@ -16,6 +16,8 @@ shifted operator M (half-bandwidth b):
 2. Three block inverse iterations (block size 3) on the Hermitian
    Jordan-Wielandt matrix B = [[0, M], [M^*, 0]], whose eigenvalues are
    +-sigma_i, run at the bracket's midpoint on one banded LU (zgbtrf, zgbtrs).
+   They start from the same seeded random block on every call, which is
+   drawn once per n and kept read-only.
 3. sigma_min is the smallest Rayleigh-Ritz value of B on the block that lies
    inside the bracket.
 
@@ -32,6 +34,7 @@ kernel's 0.5 ms, and 1.6 ms at n = 128.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -173,6 +176,17 @@ def _jordan_wielandt(m: OperatorMatrix, s: float) -> OperatorMatrix:
     return OperatorMatrix(ab)
 
 
+@lru_cache(maxsize=None)
+def _polish_start(n: int) -> np.ndarray:
+    """The seeded (2n, 3) start block of the polish, read-only. It depends
+    on n alone, and a process meets a handful of n (powers of two from
+    _pick_n), so it is drawn once per n."""
+    rng = np.random.default_rng(0x5EED)
+    v = rng.standard_normal((2 * n, 3)) + 1j * rng.standard_normal((2 * n, 3))
+    v.flags.writeable = False
+    return v
+
+
 def _sigma_min_bisect_polish(m: OperatorMatrix) -> float:
     """sigma_min of the band operator M: Cholesky bisection, then a block
     inverse-iteration polish on the Jordan-Wielandt band (module docstring)."""
@@ -199,8 +213,7 @@ def _sigma_min_bisect_polish(m: OperatorMatrix) -> float:
     if info != 0:
         # B - s*I is exactly singular: s is a singular value of M
         return s
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal((2 * n, 3)) + 1j * rng.standard_normal((2 * n, 3))
+    v = _polish_start(n)
     for _ in range(3):
         v, _ = np.linalg.qr(lapack.zgbtrs(lu, k, k, v, ipiv)[0])
     ritz = np.linalg.eigvalsh(v.conj().T @ jw.matvec(v)) + s

@@ -12,12 +12,14 @@ values via the quadrature weight 2*pi/N.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_SQRT_TWO_PI = np.sqrt(TWO_PI)
 
 #: operationalization of the asymptotic regime condition "amplitude >> nu^2"
 REGIME_FACTOR = 100.0
@@ -127,7 +129,11 @@ class FourierGrid:
         return TWO_PI * np.vdot(d, c)
 
     def norm_coeffs(self, c: np.ndarray) -> float:
-        return np.sqrt(TWO_PI) * np.linalg.norm(c)
+        """sqrt(2*pi) ||c|| for a 1-D coefficient vector, summed as
+        np.linalg.norm sums it (re.re + im.im, then the square root) without
+        numpy's dispatch, so the bits are the same."""
+        re, im = c.real, c.imag
+        return _SQRT_TWO_PI * math.sqrt(re.dot(re) + im.dot(im))
 
     def l1_norm_grid(self, values: np.ndarray) -> float:
         return (TWO_PI / self.n) * np.sum(np.abs(values))

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,20 @@ class TestDegenerateConfigs:
         text = f"nu = 0.01\ngamma = {gamma}\nk1 = {k1}\nk3 = {k3}\nk_f = 1\nn = 64\n"
         assert self.run(tmp_path, "psi", text) == EXIT_CONFIG
         assert "k1*gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("k1, gamma", [(1, 0), (0, 0.4)])
+    def test_evolve_without_shear_is_a_config_error(self, tmp_path, capsys, k1, gamma):
+        # the decay fit's default window 2/sqrt|k1*gamma| is infinite; no
+        # division by zero is reached on the way to the refusal
+        text = TestSweepPoolAndSeed.CONFIGS["evolve"].replace(
+            "gamma = 0.4", f"gamma = {gamma}").replace("k1 = 1", f"k1 = {k1}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run(tmp_path, "evolve", text) == EXIT_CONFIG
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "infinite" in err
         assert not (tmp_path / "o").exists()
 
     def test_dns_zero_gamma_needs_t_end(self, tmp_path, capsys):

@@ -1,14 +1,19 @@
 """Propagators, coupled evolution, decay fits, energy identities, alpha=1."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+from kolmoflow import evolution
 from kolmoflow.spectral import (
     ConfigurationError,
     ModeParams,
     OperatorMatrix,
     StarMetric,
+    assemble_L1,
     assemble_mode_operators,
     build_grid,
 )
@@ -284,7 +289,6 @@ class TestAlpha1:
         p = ModeParams(nu=nu, gamma=beta, k_f=1.0, k1=1, k3=0)
         grid = build_grid(48, p, alpha=beta)
         w = grid.random_coeffs(RNG)
-        from kolmoflow.spectral import assemble_L1
         u = solve_L1(nu, beta, grid, w)
         back = assemble_L1(nu, beta, grid).matvec(u)
         assert np.linalg.norm(back - w) <= 1e-10 * np.linalg.norm(w)
@@ -357,3 +361,180 @@ class TestGEnvelope:
             ratios.append(np.max(traj.norm_g / env))
         c_hat = max(ratios[:10])
         assert all(r <= 1.5 * c_hat for r in ratios[10:])
+
+
+def _norm(c):
+    """The channel norm as numpy spells it: sqrt(2 pi) ||c||."""
+    return np.sqrt(2.0 * np.pi) * np.linalg.norm(c)
+
+
+class TestReuseIsBitIdentical:
+    """Work done once in place of once per call gives the same bits as the
+    per-call loop it replaces (np.array_equal, not a tolerance)."""
+
+    P = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """Count the matrix exponentials, starting from an empty reuse store."""
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(evolution, "expm", counting)
+        monkeypatch.setattr(evolution, "_LAST_PROPAGATORS", {})
+        return calls
+
+    def test_norm_coeffs_is_numpy_norm(self):
+        grid = build_grid(48, self.P)
+        rng = np.random.default_rng(1)
+        block = rng.standard_normal((7, 48)) + 1j * rng.standard_normal((7, 48))
+        vectors = [grid.random_coeffs(rng) * 10.0 ** k for k in range(-8, 9, 4)]
+        vectors += list(block) + list(block.T[:, :5].T) + [block[:, 3], block[0].real]
+        assert np.array_equal([grid.norm_coeffs(c) for c in vectors],
+                              [_norm(c) for c in vectors])
+
+    def test_trajectory_norms_match_per_state_loop(self):
+        p, grid = self.P, build_grid(32, self.P)
+        rng = np.random.default_rng(2)
+        f0, g0 = grid.random_coeffs(rng), grid.random_coeffs(rng)
+        traj = evolve_coupled(p, f0, g0, 3.0, 0.25, grid=grid, store_states=True)
+        # the stepping loop as a list of copies, one state at a time
+        a_l, a_h, coupling = coupled_generators(p, grid)
+        n = grid.n
+        gen = np.block([[-a_l, np.zeros((n, n))], [coupling, -a_h]])
+        e = propagator(-gen, 0.25)
+        state = np.concatenate([f0, g0])
+        fs, gs = [f0], [g0]
+        for _ in range(12):
+            state = e @ state
+            fs.append(state[:n].copy())
+            gs.append(state[n:].copy())
+        assert np.array_equal(traj.f_states, fs) and np.array_equal(traj.g_states, gs)
+        k = grid.wavenumbers
+        want = {"f": [_norm(f) for f in fs], "g": [_norm(g) for g in gs],
+                "Q1f": [_norm(np.where(k != 0, f, 0)) for f in fs],
+                "P1f": [_norm(np.where(k == 0, f, 0)) for f in fs],
+                "dyf": [_norm(1j * k * f) for f in fs]}
+        for name, values in want.items():
+            assert np.array_equal(traj.channel(name), values), name
+
+    def test_multi_rhs_L1_solve_matches_per_column(self):
+        nu, beta = 0.003, 0.3
+        p = ModeParams(nu=nu, gamma=beta, k_f=1.0, k1=1, k3=0)
+        grid = build_grid(64, p, alpha=beta)
+        rng = np.random.default_rng(3)
+        cols = np.array([grid.random_coeffs(rng) * 10.0 ** k for k in range(-6, 7)])
+        block = evolution._l1_banded_solve(assemble_L1(nu, beta, grid), cols.T)
+        per_column = np.array([solve_L1(nu, beta, grid, w) for w in cols])
+        assert np.array_equal(block.T, per_column)
+        # <L1^{-1} f, 1> read off the n = 0 row equals the inner product
+        one = (grid.wavenumbers == 0).astype(complex)
+        row = 2.0 * np.pi * block[grid.wavenumbers == 0][0]
+        assert np.array_equal(row, [grid.inner_coeffs(u, one) for u in per_column])
+
+    @pytest.mark.parametrize("kind", ["sustained", "zero"])
+    def test_forced_decay_matches_per_step_source_loop(self, kind):
+        p, grid = self.P, build_grid(32, self.P)
+        rng = np.random.default_rng(4)
+        h = {name: grid.random_coeffs(rng) for name in ("h1", "h2", "h3")}
+        spec = ForcingSpec(kind=kind, amplitude=1.3, c_weight=0.2, **h)
+        f0 = grid.random_coeffs(rng)
+        t_end, dt, c_prime = 4.0, 0.1, 0.15
+        out = forced_decay(p, spec, t_end=t_end, dt=dt, c_hat=0.3, grid=grid, f0=f0,
+                           c_prime=c_prime)
+        # the loop with the source formed in full at each of its 3 nodes per step
+
+        def source(t):
+            if kind == "zero":
+                return np.zeros(grid.n, dtype=complex)
+            k = grid.wavenumbers
+            div = 1j * p.k1 * h["h1"] + 1j * k * h["h2"] + 1j * p.k3 * h["h3"]
+            return spec.envelope(t, p.gamma) * div
+
+        def grad_norm(c):
+            return np.sqrt((p.k1**2 + p.k3**2) * _norm(c) ** 2
+                           + p.k_f**2 * _norm(1j * grid.wavenumbers * c) ** 2)
+
+        a_l, _, _ = coupled_generators(p, grid)
+        e, e2 = propagator(a_l, dt), propagator(a_l, dt / 2.0)
+        times = np.arange(41) * dt
+        acc = NormAccumulators(c_prime=c_prime, gamma=p.k1 * p.gamma, nu=p.nu)
+        f = f0
+        acc.update(0.0, _norm(f), grad_norm(f))
+        sqg = np.sqrt(abs(p.k1 * p.gamma))
+        integral, prev = 0.0, _norm(source(0.0)) ** 2
+        norms = [_norm(f)]
+        for j in range(40):
+            t = times[j]
+            s0, s1, s2 = source(t), source(t + dt / 2.0), source(t + dt)
+            f = e @ f + (dt / 6.0) * (e @ s0 + 4.0 * (e2 @ s1) + s2)
+            acc.update(times[j + 1], _norm(f), grad_norm(f))
+            cur = np.exp(2 * c_prime * sqg * times[j + 1]) * _norm(s2) ** 2
+            integral += 0.5 * dt * (prev + cur)
+            prev = cur
+            norms.append(_norm(f))
+        assert np.array_equal(out["norms"], norms)
+        assert out["x_norm_sq"] == acc.x_norm_sq
+        assert out["weighted_source_integral"] == integral
+        assert out["c_hat_fit"] == acc.x_norm_sq / (norms[0] ** 2 + integral / p.nu)
+
+    def test_one_block_exponential_per_key(self, expm_calls):
+        p, grid = self.P, build_grid(32, self.P)
+        rng = np.random.default_rng(5)
+        f0, g0 = grid.random_coeffs(rng), grid.random_coeffs(rng)
+        first = evolve_coupled(p, f0, g0, 2.0, 0.25, grid=grid)
+        again = evolve_coupled(p, g0, f0, 2.0, 0.25, grid=grid)
+        assert expm_calls == [(64, 64)]
+        # a different dt, then different params, each build a new propagator
+        evolve_coupled(p, f0, g0, 2.0, 0.5, grid=grid)
+        other = ModeParams(nu=0.01, gamma=0.1, k_f=0.5, k1=1, k3=1)
+        evolve_coupled(other, f0, g0, 2.0, 0.5, grid=grid)
+        assert len(expm_calls) == 3
+        # only the last block propagator is kept: the first key builds anew,
+        # with the same bits as its first build
+        again_first = evolve_coupled(p, f0, g0, 2.0, 0.25, grid=grid)
+        assert len(expm_calls) == 4
+        assert np.array_equal(first.norm_f, again_first.norm_f)
+        assert np.array_equal(first.norm_g, again_first.norm_g)
+        assert not np.array_equal(first.norm_f, again.norm_f)
+
+    def test_forced_decay_reuses_its_two_steps(self, expm_calls):
+        p, grid = self.P, build_grid(32, self.P)
+        f0 = grid.random_coeffs(np.random.default_rng(6))
+        for spec in (ForcingSpec(kind="sustained", h2=f0), ForcingSpec(kind="zero")):
+            forced_decay(p, spec, t_end=2.0, dt=0.1, c_hat=0.3, grid=grid, f0=f0)
+        assert expm_calls == [(32, 32), (32, 32)]  # e at dt and e2 at dt/2, once
+        # the block kind is separate and does not evict the A_L steps
+        evolve_coupled(p, f0, f0, 1.0, 0.1, grid=grid)
+        forced_decay(p, ForcingSpec(kind="zero"), t_end=2.0, dt=0.1, c_hat=0.3,
+                     grid=grid, f0=f0)
+        assert len(expm_calls) == 3
+
+    def test_kept_propagators_are_read_only(self, expm_calls):
+        p, grid = self.P, build_grid(32, self.P)
+        f0 = grid.random_coeffs(np.random.default_rng(7))
+        evolve_coupled(p, f0, f0, 1.0, 0.1, grid=grid)
+        forced_decay(p, ForcingSpec(kind="zero"), t_end=1.0, dt=0.1, c_hat=0.3,
+                     grid=grid, f0=f0)
+        kept = [m for _, mats in evolution._LAST_PROPAGATORS.values() for m in mats]
+        assert len(kept) == 3
+        for m in kept:
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+
+class TestDecayFitWindow:
+    @pytest.mark.parametrize("k1, gamma", [(1, 0.0), (0, 0.4)])
+    def test_default_window_needs_shear(self, k1, gamma):
+        p = ModeParams(nu=0.5, gamma=gamma, k_f=1.0, k1=k1, k3=1)
+        grid = build_grid(16, p)
+        f0 = grid.random_coeffs(np.random.default_rng(8))
+        traj = evolve_coupled(p, f0, f0, 5.0, 0.1, grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no 2/0 on the way
+            with pytest.raises(ConfigurationError, match="infinite"):
+                fit_decay_rate(traj, "f")
+        assert fit_decay_rate(traj, "f", t_min=1.0).rate > 0

@@ -270,6 +270,16 @@ class TestSigmaMinKernel:
         assert 0.0 <= smallest_singular_value(op, method="banded") <= 4 * eps * _norm_bound(op)
         assert 0 < len(steps) <= np.log2(1.0 / (ps._BRACKET_RTOL * eps))
 
+    def test_polish_start_is_drawn_once_per_n(self):
+        # the seeded draw each call used to make, kept read-only and shared
+        rng = np.random.default_rng(0x5EED)
+        fresh = rng.standard_normal((256, 3)) + 1j * rng.standard_normal((256, 3))
+        block = ps._polish_start(128)
+        assert ps._polish_start(128) is block and np.array_equal(block, fresh)
+        assert ps._polish_start(64).shape == (128, 3)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
     @pytest.mark.parametrize("lam", [0.0, 0.8, -1.7])
     def test_complex_generic_band(self, lam):
         rng = np.random.default_rng(7)
