@@ -338,13 +338,17 @@ def _mode_params(v: dict) -> ModeParams:
 def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import pseudospectra as ps
     v = cfg.values
-    res = ps.psi_for_params(_mode_params(v), v["operator"], n=v["n"],
-                            scan_count=v["scan_count"])
+    p = _mode_params(v)
+    res = ps.psi_for_params(p, v["operator"], n=v["n"], scan_count=v["scan_count"])
+    adequate = ps.psi_grid(p, v["n"]).adequate
     table = [{"lam": float(l), "sigma_min": float(s)}
              for l, s in zip(res.lam_grid, res.sigma_grid)]
-    payload = {"psi": res.as_record(), "scan": table}
+    record = res.as_record()
+    if not adequate:
+        record["flags"].append("grid inadequate: n < 8/delta")
+    payload = {"psi": record, "scan": table}
     tables = {"psi_scan.csv": (["lam", "sigma_min"], zip(res.lam_grid, res.sigma_grid))}
-    return payload, res.psi > 0, not res.converged, tables
+    return payload, res.psi > 0, not (res.converged and adequate), tables
 
 
 def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:

@@ -8,11 +8,13 @@ exact steady state) on the box x,z in T_{2pi}, y in T_{2pi/k_f}:
 
 Time stepping is an integrating-factor SSP-RK3: the viscous term is exact
 (e^{-nu |k|^2 dt}), advection and background coupling are explicit, third
-order overall. The quadratic term uses the rotation form (pointwise
-energy-neutral even after masking) with 2/3-rule dealiasing; the background
-terms are single +-k_f harmonics, which on this box are one k_y grid step,
-so they are exact spectral shifts with no aliasing. Every stage ends with a
-Leray projection; the retained mode set is closed under the dynamics.
+order overall. The quadratic term uses the rotation form V x omega, which
+is -(V.grad)V up to the gradient of |V|^2/2 that the projection removes
+(pointwise energy-neutral even after masking), with 2/3-rule dealiasing;
+the background terms are single +-k_f harmonics, which on this box are one
+k_y grid step, so they are exact spectral shifts with no aliasing. Every
+stage ends with a Leray projection; the retained mode set is closed under
+the dynamics.
 
 The stages therefore run on the retained 2/3-rule box alone, in compact fft order,
 with work buffers that live on the state. The transforms are numpy's own,
@@ -250,13 +252,14 @@ class SpectralField3D:
 
 def init_perturbation(config: DNSConfig) -> SpectralField3D:
     """Random divergence-free real field with H2 norm exactly epsilon,
-    supported on the retained 2/3-rule box."""
+    supported on the retained 2/3-rule box: the negated standard-normal
+    draw of `config.seed`, masked and projected."""
     state = SpectralField3D(config)
     if config.epsilon == 0.0:
         return state
     rng = np.random.default_rng(config.seed)
     nx, ny, nz = config.n
-    what = state.to_spectral(rng.standard_normal((3, nx, ny, nz)))
+    what = state.to_spectral(-rng.standard_normal((3, nx, ny, nz)))
     what *= state.dealias
     what[:, 0, 0, 0] = 0.0  # perturbation carries no mean flow
     what = state.leray_project(what)
@@ -309,10 +312,10 @@ def background_rhs(state: SpectralField3D, what: np.ndarray | None = None,
 
 def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Rotation form omega x V of the advection term (the |V|^2/2 gradient
-    falls to the projection) on the box. One batched pruned inverse
-    transform of (V, omega) and one pruned forward transform of the
-    products, which keeps only the box: the 2/3 rule."""
+    """Rotation form V x omega of the advection term -(V.grad)V (the
+    |V|^2/2 gradient falls to the projection) on the box. One batched
+    pruned inverse transform of (V, omega) and one pruned forward transform
+    of the products, which keeps only the box: the 2/3 rule."""
     v = state.vhat[state.box] if what is None else what
     kx, ky, kz = state.box_kx, state.box_ky, state.box_kz
     both = state._stack
@@ -322,7 +325,7 @@ def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None,
     both[5] = 1j * (kx * v[1] - ky * v[0])
     vx, vy, vz, wx, wy, wz = state.box_to_physical(both)
     prod, scratch = state._prod, state._scratch
-    for p, (a, b, c, d) in zip(prod, ((wy, vz, wz, vy), (wz, vx, wx, vz), (wx, vy, wy, vx))):
+    for p, (a, b, c, d) in zip(prod, ((wz, vy, wy, vz), (wx, vz, wz, vx), (wy, vx, wx, vy))):
         np.multiply(a, b, out=p)
         p -= np.multiply(c, d, out=scratch)
     return state.box_to_spectral(prod, out)

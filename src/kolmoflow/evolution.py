@@ -386,13 +386,17 @@ def energy_identity_residual(traj: Trajectory) -> dict:
     derivative mismatch, which converges at 4th order in the sample spacing.
     Cumulative dissipation ratios are reported alongside; the weight of
     est4 uses c' = (a - nu kappa^2) / (2 sqrt|k1 gamma|) from the fitted
-    rate a, floored at 0.
+    rate a, floored at 0, so k1*gamma = 0 raises ConfigurationError.
     """
     if traj.f_states is None:
         raise ConfigurationError("energy identity needs stored states")
     p, grid = traj.params, traj.grid
     if p.alpha <= 1.0:
         raise ConfigurationError("energy identity path assumes alpha > 1")
+    if p.k1 * p.gamma == 0.0:
+        raise ConfigurationError(
+            "the est4 weight c' divides by sqrt|k1*gamma|, which is 0 with "
+            "k1 = 0 or gamma = 0")
     n = grid.wavenumbers
     hinv = 1.0 / (p.alpha**2 + n**2)
     t = traj.times

@@ -41,6 +41,7 @@ from scipy.linalg import lapack
 
 from .spectral import (
     ConfigurationError,
+    FourierGrid,
     ModeParams,
     OperatorMatrix,
     REGIME_FACTOR,
@@ -462,6 +463,19 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
     return c_hat, rows
 
 
+def psi_grid(params: ModeParams, n: int | None = None) -> FourierGrid:
+    """The grid of a Psi scan: built for the resolvent-scale alpha
+    k1*gamma/k_f^4, of size `n` or else the smallest adequate one."""
+    alpha_res = params.k1 * params.gamma / params.k_f**4
+    if alpha_res == 0.0:
+        raise ConfigurationError(
+            "Psi needs k1*gamma != 0: with k1 = 0 or gamma = 0 the shear term "
+            "and the critical-layer scale vanish")
+    if n is None:
+        n = _pick_n(params.layer_scale(alpha_res))
+    return build_grid(n, params, alpha=alpha_res)
+
+
 def psi_for_params(params: ModeParams, which: str, n: int | None = None,
                    scan_count: int = 128) -> PsiResult:
     """Psi of one mode operator; which in {"H", "L", "Q1L"}.
@@ -469,14 +483,7 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
     "H" uses the euclidean metric; "L" the beta>1 star metric; "Q1L" the
     alpha=1 mean-zero star metric.
     """
-    alpha_res = params.k1 * params.gamma / params.k_f**4  # resolvent-scale alpha
-    if alpha_res == 0.0:
-        raise ConfigurationError(
-            "Psi needs k1*gamma != 0: with k1 = 0 or gamma = 0 the shear term "
-            "and the critical-layer scale vanish")
-    if n is None:
-        n = _pick_n(params.layer_scale(alpha_res))
-    grid = build_grid(n, params, alpha=alpha_res)
+    grid = psi_grid(params, n)
     mode_l, mode_h = assemble_mode_operators(params, grid)
     query = default_psi_query(params, scan_count=scan_count)
     if which == "H":

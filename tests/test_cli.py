@@ -146,6 +146,20 @@ class TestEndToEnd:
             docs.append(payload_bytes(doc["payload"]))
         assert docs[0] == docs[1]
 
+    def test_psi_inadequate_grid_is_a_resolution_flag(self, tmp_path):
+        # the grid rule asks for n >= 128 here; the scan itself converges
+        cfgfile = tmp_path / "psi.cfg"
+        cfgfile.write_text("nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\n"
+                           "operator = L\nn = 64\nscan_count = 96\n")
+        out = tmp_path / "o"
+        assert main(["psi", "--config", str(cfgfile), "--out", str(out)]) == EXIT_RESOLUTION
+        psi = json.loads((out / "psi_report.json").read_text())["payload"]["psi"]
+        assert psi["converged"]
+        assert psi["psi"] == pytest.approx(0.7845, abs=1e-4)
+        assert psi["flags"] == ["grid inadequate: n < 8/delta"]
+        cfgfile.write_text(cfgfile.read_text().replace("n = 64", "n = 128"))
+        assert main(["psi", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+
     def test_config_error_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(MINIMAL_PSI.replace("k_f = 1", "k_f = 1.5"))

@@ -128,18 +128,37 @@ def on_full(st, c):
     return out
 
 
-def rotation_form_full(st, vfull):
-    """Oracle: omega x V on the full fftn spectrum, 2/3-masked."""
+def full_wavevectors(st):
+    """Wavevectors (3, nx, ny, nz) of the full fftn layout and its 2/3 mask."""
     nx, ny, nz = st.config.n
     ix, iy, iz = np.meshgrid(*(np.fft.fftfreq(m, 1.0 / m) for m in (nx, ny, nz)),
                              indexing="ij")
     k = np.stack([ix, st.config.k_f * iy, iz])
     mask = (np.abs(ix) <= nx / 3.0) & (np.abs(iy) <= ny / 3.0) & (np.abs(iz) <= nz / 3.0)
+    return k, mask
+
+
+def rotation_form_full(st, vfull):
+    """Oracle: V x omega on the full fftn spectrum, 2/3-masked."""
+    nx, ny, nz = st.config.n
+    k, mask = full_wavevectors(st)
     v = vfull * mask
     omega = 1j * np.cross(k, v, axis=0)
     phys = lambda c: np.fft.ifftn(c, axes=(1, 2, 3)).real * (nx * ny * nz)
-    prod = np.cross(phys(omega), phys(v), axis=0)
+    prod = np.cross(phys(v), phys(omega), axis=0)
     return np.fft.fftn(prod, axes=(1, 2, 3)) / (nx * ny * nz) * mask
+
+
+def advection_full(st, vfull):
+    """Oracle: (V.grad)V from physical-space derivatives of the 2/3-masked
+    full fftn spectrum, masked again."""
+    nx, ny, nz = st.config.n
+    k, mask = full_wavevectors(st)
+    v = vfull * mask
+    phys = lambda c: np.fft.ifftn(c, axes=(-3, -2, -1)).real * (nx * ny * nz)
+    grad = phys(1j * k[:, None] * v[None])  # grad[j, i] = d_j V_i
+    adv = np.einsum("jxyz,jixyz->ixyz", phys(v), grad)
+    return np.fft.fftn(adv, axes=(1, 2, 3)) / (nx * ny * nz) * mask
 
 
 class TestTransforms:
@@ -151,6 +170,19 @@ class TestTransforms:
         want = rotation_form_full(st, hermitian_extension(half, cfg.n[2]))
         got = on_full(st, nonlinear_rhs(st, half[st.box]))
         assert np.max(np.abs(got - want[..., : cfg.n[2] // 2 + 1])) <= 1e-13 * np.max(np.abs(want))
+
+    def test_projected_nonlinear_term_is_minus_projected_advection(self):
+        # V x omega = grad |V|^2/2 - (V.grad)V, and the projection removes the
+        # gradient. No axis length is a multiple of 3: there the box keeps
+        # |k| = n/3, and the products alias onto it.
+        cfg = base_config(n=(16, 16, 10), epsilon=1.0)
+        st = init_perturbation(cfg)
+        half = st.vhat
+        got = on_full(st, st.project_box(nonlinear_rhs(st, half[st.box])))
+        adv = advection_full(st, hermitian_extension(half, cfg.n[2]))[..., : cfg.n[2] // 2 + 1]
+        want = -st.leray_project(adv)
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_hermitian_defect_checks_self_conjugate_planes(self):
         st = init_perturbation(base_config(seed=7))
@@ -194,7 +226,7 @@ def full_spectrum_step(st, h):
             both = np.concatenate([v, 1j * np.stack([ky * v[2] - kz * v[1], kz * v[0] - kx * v[2],
                                                      kx * v[1] - ky * v[0]])])
             vx, vy, vz, wx, wy, wz = np.fft.irfftn(both, s=st.shape, axes=(1, 2, 3), norm="forward")
-            prod = np.stack([wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx])
+            prod = np.stack([vy * wz - vz * wy, vz * wx - vx * wz, vx * wy - vy * wx])
             out += np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward") * mask
         return st.leray_project(out * mask)
 

@@ -265,6 +265,17 @@ class TestEnergyIdentity:
         assert r1 / r2 >= 10.0  # 4th order would give 16
         assert r2 / r3 >= 10.0
 
+    @pytest.mark.parametrize("k1, gamma", [(1, 0.0), (0, 0.4)])
+    def test_needs_shear(self, k1, gamma):
+        p = ModeParams(nu=0.5, gamma=gamma, k_f=0.5, k1=k1, k3=1)
+        grid = build_grid(16, p)
+        f0 = grid.random_coeffs(np.random.default_rng(8))
+        traj = evolve_coupled(p, f0, f0, 5.0, 0.1, grid=grid, store_states=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no c' = inf on the way
+            with pytest.raises(ConfigurationError, match="sqrt"):
+                energy_identity_residual(traj)
+
 
 class TestAlpha1:
     def test_conservation_and_bounds(self):

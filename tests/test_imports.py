@@ -4,7 +4,8 @@ Every module needs numpy and scipy.linalg. scipy.integrate, whose package
 init also loads scipy.optimize and scipy.special, and scipy.interpolate load
 on first use inside `waveop`, so a process that never builds a wave operator
 does not pay their start-up time and memory. A DNS step runs on numpy.fft
-alone, so it leaves scipy.fft unloaded.
+alone, so it leaves scipy.fft unloaded. multiprocessing loads only when a
+wave-operator build starts its pool.
 """
 
 import json
@@ -32,6 +33,7 @@ from kolmoflow import dns
 state = dns.init_perturbation(dns.DNSConfig(nu=0.05, gamma=0.05, k_f=0.5, n=(8, 8, 8)))
 dns.step_imex(state)
 fft_after_step = "scipy.fft" in sys.modules
+mp_after_step = "multiprocessing" in sys.modules
 from kolmoflow import waveop
 waveop.get_wave_operator(2.0, 16)
 after_build = loaded()
@@ -40,7 +42,7 @@ mask = np.ones(16, bool)
 mask[3] = False
 waveop.fill_masked(np.cos(y), mask, y)
 print(json.dumps({{"modules": names, "after_import": after_import,
-                   "fft_after_step": fft_after_step,
+                   "fft_after_step": fft_after_step, "mp_after_step": mp_after_step,
                    "after_build": after_build, "after_fill": loaded()}}))
 """
 
@@ -56,5 +58,6 @@ def test_deferred_scipy_modules_load_only_on_use():
             "waveop"} <= set(out["modules"])
     assert out["after_import"] == []
     assert not out["fft_after_step"]  # the DNS transforms are numpy's own
+    assert not out["mp_after_step"]  # only a wave-operator build starts a pool
     assert "scipy.integrate" in out["after_build"]
     assert "scipy.interpolate" in out["after_fill"]

@@ -1,7 +1,11 @@
 """Wave operators: profiles, coefficients, exchange identities, bounds."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kolmoflow import waveop
 from kolmoflow.spectral import ConfigurationError, ModeParams, build_grid
@@ -21,6 +25,49 @@ from kolmoflow.waveop import (
 
 Y_HALF = np.linspace(0.0, np.pi, 129)
 RNG = np.random.default_rng(17)
+
+
+def radau_phi1(c, alpha, y):
+    """Oracle: phi1 on y from scipy's Radau at rtol 1e-9, seeded from the
+    series at y_c +- eps as solve_phi1 seeds its DOP853 solves."""
+    y_c = float(np.arccos(-c))
+    eps = min(waveop.SERIES_RADIUS, 0.45 * min(y_c, np.pi - y_c))
+
+    def rhs(t, z):
+        q2 = (u_of(t) - c) ** 2
+        return [z[1] / q2, alpha**2 * q2 * z[0]]
+
+    phi1 = np.empty_like(y)
+    near = np.abs(y - y_c) <= eps
+    phi1[near] = waveop._series_eval(alpha, y_c, y[near] - y_c)[0]
+    for sign, stop in ((+1, np.pi), (-1, 0.0)):
+        y0 = y_c + sign * eps
+        phi0, dphi0 = waveop._series_eval(alpha, y_c, sign * eps)
+        sol = solve_ivp(rhs, (y0, stop), [phi0, (u_of(y0) - c) ** 2 * dphi0],
+                        method="Radau", rtol=1e-9, atol=1e-12, dense_output=True)
+        assert sol.success
+        sel = (y - y_c) * sign > eps
+        phi1[sel] = sol.sol(y[sel])[0]
+    return phi1
+
+
+def count_solves(monkeypatch):
+    """The c of every solve_phi1 call made in this process (forked pool
+    workers count in their own copy)."""
+    calls = []
+    real = waveop.solve_phi1
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(waveop, "solve_phi1", counting)
+    return calls
+
+
+def set_cpus(monkeypatch, cpus):
+    """Pretend the affinity mask holds `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def smooth_mode_data(grid, rng, kmax=4):
@@ -44,8 +91,8 @@ class TestProfile:
 
     def test_cross_integrator_oracle(self):
         a = solve_phi1(0.0, 2.0, Y_HALF)
-        b = solve_phi1(0.0, 2.0, Y_HALF, method="Radau", rtol=1e-9)
-        assert np.max(np.abs(a.phi1 - b.phi1) / a.phi1) <= 1e-7
+        b = radau_phi1(0.0, 2.0, Y_HALF)
+        assert np.max(np.abs(a.phi1 - b) / a.phi1) <= 1e-7
 
     def test_endpoint_rejection(self):
         with pytest.raises(ConfigurationError):
@@ -222,16 +269,9 @@ class TestCoarseLevels:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        set_cpus(monkeypatch, 1)  # serial builds, so that every solve counts
         monkeypatch.setattr(waveop, "_OPERATOR_CACHE", {})
-        calls = []
-        real = waveop.solve_phi1
-
-        def counting(*args, **kw):
-            calls.append(args[0])
-            return real(*args, **kw)
-
-        monkeypatch.setattr(waveop, "solve_phi1", counting)
-        return calls
+        return count_solves(monkeypatch)
 
     @pytest.mark.parametrize("alpha, n_fine", [(2.0, 128), (2.0 * np.sqrt(2.0), 256)])
     def test_cut_level_equals_cold_build(self, solves, alpha, n_fine):
@@ -253,6 +293,26 @@ class TestCoarseLevels:
         solves.clear()
         op = get_wave_operator(2.0, 64)
         assert len(solves) == len(op.y_c) > 0
+
+
+class TestNodePool:
+    """A build solves its c-nodes on a fork pool of one worker per CPU in
+    the affinity mask; on one CPU it solves them in this process."""
+
+    @pytest.mark.parametrize("alpha, n", [(2.0, 128), (16.0, 64)])
+    def test_pool_build_equals_serial_build(self, monkeypatch, alpha, n):
+        solves = count_solves(monkeypatch)
+        set_cpus(monkeypatch, 3)
+        pooled = WaveOperator(alpha, n)
+        assert solves == []  # every node was solved in a worker
+        assert multiprocessing.active_children() == []
+        set_cpus(monkeypatch, 1)
+        serial = WaveOperator(alpha, n)
+        assert len(solves) == len(serial.y_c) > 0
+        assert np.array_equal(pooled.phi1_table, serial.phi1_table)
+        assert pooled.coeff.keys() == serial.coeff.keys()
+        for name, column in serial.coeff.items():
+            assert np.array_equal(pooled.coeff[name], column), name
 
 
 class TestIntertwining:
