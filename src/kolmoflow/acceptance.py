@@ -25,13 +25,11 @@ def _record(name: str, passed: bool, **details) -> dict:
 
 # -- 1: resolvent lower bounds ------------------------------------------------
 
-def criterion_resolvent_bounds(fast: bool = False) -> dict:
+def criterion_resolvent_bounds() -> dict:
     nus = [1e-2, 3e-3, 1e-3]
     alphas = [10.0, 100.0, 1000.0]
     lams = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
     betas = [2.0, 5.0]
-    if fast:
-        nus, alphas, lams, betas = [1e-2, 3e-3], [10.0, 100.0], [0.0, 0.5, 1.0], [2.0]
     details = {}
     passed = True
     for kind in ("Nlambda", "Llambda", "Lu-form"):
@@ -337,14 +335,13 @@ def criterion_forced_decay() -> dict:
 
 # -- 9: DNS qualitative threshold -------------------------------------------------
 
-def criterion_dns_threshold(fast: bool = False) -> dict:
+def criterion_dns_threshold() -> dict:
     # fitted c' from the linear Psi suite at the DNS parameters
     p_lin = ModeParams(nu=0.05, gamma=0.05, k_f=0.5, k1=1, k3=0)
     psi = ps.psi_for_params(p_lin, "H", n=128, scan_count=64)
     c_hat = psi.psi / np.sqrt(abs(p_lin.k1 * p_lin.gamma))
     c_prime = 0.5 * c_hat
-    n_main = (16, 16, 16) if fast else (32, 32, 32)
-    cfg = dns.DNSConfig(nu=0.05, gamma=0.05, k_f=0.5, n=n_main, epsilon=1e-3,
+    cfg = dns.DNSConfig(nu=0.05, gamma=0.05, k_f=0.5, n=(32, 32, 32), epsilon=1e-3,
                         seed=1, c_prime=c_prime)
     main = dns.run_simulation(cfg, sample_every=20)
     rate = main["rate_neq"]
@@ -358,8 +355,6 @@ def criterion_dns_threshold(fast: bool = False) -> dict:
     seeds_ok = rep["outcome"] == "decayed"
     nus = [0.02, 0.05, 0.1]
     epss = [0.0, 1e-3, 0.05, 0.3]
-    if fast:
-        nus, epss = [0.05, 0.1], [0.0, 1e-3]
     tmap = dns.run_threshold_sweep(nus, epss, {"k_f": 0.5, "n": (16, 16, 16)})
     mono_ok = tmap.monotone_in_nu()
     passed = rate_ok and m0_ok and seeds_ok and mono_ok
@@ -386,13 +381,10 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(fast: bool = False) -> dict:
+def run_all() -> dict:
     records = []
     for fn in ALL_CRITERIA:
-        kw = {}
-        if fn in (criterion_resolvent_bounds, criterion_dns_threshold):
-            kw["fast"] = fast
-        rec = fn(**kw)
+        rec = fn()
         records.append(rec)
         print(f"[{'PASS' if rec['passed'] else 'FAIL'}] {rec['name']}")
     return {"criteria": records, "passed": all(r["passed"] for r in records)}

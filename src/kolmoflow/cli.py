@@ -9,10 +9,12 @@ distinct exit codes (10/11/12); other configuration problems exit 2,
 verdict failures exit 1, numerical-resolution flags exit 3. `--seed` must
 lie in [0, 2**64) and `--jobs` must be at least 1 (exit 2 otherwise).
 
-`threshold` hands `--jobs` to `dns.run_threshold_sweep`, which owns the
-worker pool; the other subcommands ignore it. `evolve` advances the coupled
-mode system by its exact block exponential and has no method key, so a
-config that still sets `method` is rejected as an unknown key (exit 10).
+`threshold` hands `--jobs` to `dns.run_threshold_sweep` as the cap of its
+`spectral.process_map` pool; the other subcommands ignore it. `evolve`
+advances the coupled mode system by its exact block exponential and has no
+method key, so a config that still sets `method` is rejected as an unknown
+key (exit 10). `all-acceptance` has no keys: it runs every criterion at full
+size.
 
 This module alone knows the report file format. Every emitted file carries
 one envelope, {tool, version, timestamp, config}: a JSON report holds it as
@@ -126,9 +128,7 @@ SCHEMAS: dict[str, list[dict]] = {
              lo_strict=True, hi_strict=True),
         _typ("n", int, default=16, lo=8, hi=64),
     ],
-    "all-acceptance": [
-        _typ("fast", int, default=0, lo=0, hi=1),
-    ],
+    "all-acceptance": [],
 }
 
 
@@ -468,7 +468,7 @@ def _run_threshold(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
 
 def _run_all_acceptance(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import acceptance
-    out = acceptance.run_all(fast=bool(cfg.values.get("fast")))
+    out = acceptance.run_all()
     return _jsonable(out), out["passed"], False, {}
 
 
@@ -513,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="output directory for reports and CSV tables")
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes for threshold sweep cells "
-                         "(at most one per cell)")
+                         "(at most one per cell and per CPU in the affinity mask)")
     ap.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64)")
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")

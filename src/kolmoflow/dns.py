@@ -38,7 +38,7 @@ same arrays as a full-spectrum solver would.
 
 `run_threshold_sweep` is the one (nu, eps) sweep: the `threshold`
 subcommand and acceptance criterion 9 both call it, and it runs its cells
-serially or on a process pool of at most one worker per cell.
+through `spectral.process_map`, in this process unless `jobs` asks for more.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, process_map
 
 TAIL_FRACTION_LIMIT = 1e-6
 DECAY_ENERGY_RATIO = 1e-8   # x-dependent energy drop that counts as decayed
@@ -145,13 +145,14 @@ class SpectralField3D:
         self.k2_safe = np.where(self.k2 == 0.0, 1.0, self.k2)
         # multiplicity of each stored mode in the full spectrum
         self.weight = np.where((self.kz == 0) | (self.kz == nz // 2), 1.0, 2.0)
-        self.dealias = ((np.abs(self.kx) <= nx / 3.0) & (np.abs(iy) <= ny / 3.0)
-                        & (self.kz <= nz / 3.0))
+        # the strict 2/3 rule |k| < n/3 on each axis: where 3 divides n, two
+        # |k| = n/3 modes make 2n/3, which aliases onto -n/3
+        keep = [np.abs(i) < m / 3.0 for i, m in zip((self.kx, iy, self.kz), config.n)]
+        self.dealias = keep[0] & keep[1] & keep[2]
         self.vhat = np.zeros((3, nx, ny, nz // 2 + 1), dtype=complex)
         self.t = 0.0
 
-        kx, ky, kz = (np.flatnonzero(np.abs(i.ravel()) <= m / 3.0)
-                      for i, m in zip(_wavenumbers(config.n), config.n))
+        kx, ky, kz = (np.flatnonzero(k) for k in keep)
         rx, ry, rz = self.box_shape = (kx.size, ky.size, kz.size)
         self.box = (Ellipsis, kx[:, None], ky[None, :], slice(0, rz))
         self.box_kx = self.kx[kx]
@@ -576,8 +577,9 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
                         sample_every: int = 25, jobs: int = 1) -> ThresholdMap:
     """(nu, eps) outcome map; gamma follows the template (default gamma=nu).
 
-    Cells run in (nu, eps) order, on a pool of min(jobs, cells) worker
-    processes when that is more than one; the pool maps over the built
+    Cells run in (nu, eps) order through `process_map` with cap `jobs`: on
+    min(jobs, cells, CPUs in the affinity mask) forked workers when that is
+    more than one, in this process otherwise. The pool maps over the built
     configs, so a template's `gamma_of` never leaves this process. Rows come
     back in cell order, and outcomes are deterministic given the seed, so
     the map does not depend on `jobs`. Monotonicity report: the
@@ -587,10 +589,4 @@ def run_threshold_sweep(nus, epsilons, template: dict | None = None,
     gamma_of = template.pop("gamma_of", lambda nu: nu)
     cells = [(DNSConfig(nu=nu, gamma=gamma_of(nu), epsilon=eps, **template), sample_every)
              for nu in nus for eps in epsilons]
-    workers = min(jobs, len(cells))
-    if workers <= 1:
-        return ThresholdMap(rows=[_sweep_row(c) for c in cells])
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return ThresholdMap(rows=list(pool.map(_sweep_row, cells)))
+    return ThresholdMap(rows=process_map(_sweep_row, cells, cap=jobs))

@@ -227,7 +227,7 @@ def _sigma_min_bisect_polish(m: OperatorMatrix) -> float:
     return float(inside.min()) if inside.size else s
 
 
-def smallest_singular_value(op: OperatorMatrix, lam: float = 0.0,
+def smallest_singular_value(op: OperatorMatrix, lam: complex = 0.0,
                             metric: StarMetric | None = None,
                             method: str = "auto") -> float:
     """sigma_min of (A - i*lam) in the given metric.
@@ -375,7 +375,7 @@ def pseudospectrum_grid(op: OperatorMatrix, rect: tuple[float, float, float, flo
     for i, y in enumerate(im):
         for j, x in enumerate(re):
             # A - i*(y - i*x) = A - x - i*y
-            sigma[i, j] = smallest_singular_value(op.shifted(y - 1j * x), 0.0)
+            sigma[i, j] = smallest_singular_value(op, y - 1j * x)
     return PseudospectrumField(re=re, im=im, sigma=sigma)
 
 

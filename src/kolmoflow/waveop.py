@@ -18,25 +18,24 @@ exactly) with regular quadratures on the input grid; outputs are masked
 within `margin` of the endpoints, where the endpoint coefficients J_j
 degenerate.
 
-A build solves the profiles of its c-nodes on a pool of forked worker
-processes, one per CPU in the process's affinity mask (none when that mask
-holds one CPU). Each node is solved by the same code wherever it runs, so the
-tables do not depend on the number of CPUs, to the bit.
+A build solves the profiles of its c-nodes through `spectral.process_map`:
+on a pool of forked worker processes, one per CPU in the process's affinity
+mask, or in the process itself when that mask holds one CPU. Each node is
+solved by the same code wherever it runs, so the tables do not depend on the
+number of CPUs, to the bit.
 
 scipy.integrate and scipy.interpolate are imported inside the functions that
-use them, and multiprocessing only where a build starts its pool, so
-importing this module loads none of them.
+use them, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, process_map
 
 SERIES_RADIUS = 1e-2
 ENDPOINT_MARGIN = 0.02
@@ -220,31 +219,6 @@ def _solve_node(c: float, alpha: float, y_half: np.ndarray
     return prof.phi1, compute_coefficients(prof)
 
 
-def _solve_nodes(cs: list[float], alpha: float, y_half: np.ndarray
-                 ) -> list[tuple[np.ndarray, WaveOpCoefficients]]:
-    """`_solve_node` over the c-nodes, in order.
-
-    Runs on a fork-context process pool with one worker per CPU the process
-    may use (at most one per node), created and shut down here; on one CPU
-    it is the builtin map. scipy.integrate is imported before the fork, so
-    the workers inherit it instead of each importing it again. Fork, not
-    spawn: a spawned worker would import numpy, scipy and this package
-    afresh (about 0.4 s), most of what the pool saves on a build.
-    """
-    args = (cs, repeat(alpha), repeat(y_half))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cs))
-    if workers <= 1:
-        return list(map(_solve_node, *args))
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    import scipy.integrate  # noqa: F401
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_solve_node, *args))
-
-
 def _check_grid_size(n: int) -> None:
     if n < 8 or n % 4 != 0:
         raise ConfigurationError(
@@ -276,8 +250,10 @@ class WaveOperator:
         self.y_c = self.y_half[self.valid_half_idx]
         if _defer:
             return
-        nodes = _solve_nodes([float(-np.cos(ycv)) for ycv in self.y_c],
-                             self.alpha, self.y_half)
+        import scipy.integrate  # noqa: F401  (forked pool workers inherit it)
+
+        nodes = process_map(partial(_solve_node, alpha=self.alpha, y_half=self.y_half),
+                            [float(-np.cos(ycv)) for ycv in self.y_c])
         self._install_tables(
             np.array([phi1 for phi1, _ in nodes]),
             {name: np.array([getattr(cf, name) for _, cf in nodes])

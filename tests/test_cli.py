@@ -1,8 +1,9 @@
 """Config parsing, exit codes, envelopes and byte-identical reruns."""
 
-import concurrent.futures
+import concurrent.futures.process
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -182,6 +183,17 @@ class TestEndToEnd:
         assert err.startswith("configuration error: line 9: unknown key 'method'")
         assert not (tmp_path / "o").exists()
 
+    def test_all_acceptance_fast_key_is_unknown(self, tmp_path, capsys):
+        # all-acceptance runs every criterion at full size and has no keys
+        cfgfile = tmp_path / "acc.cfg"
+        cfgfile.write_text("fast = 1\n")
+        code = main(["all-acceptance", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_UNKNOWN_KEY
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: line 1: unknown key 'fast'")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["Llambda", "Lu-form"])
     @pytest.mark.parametrize("betas", ["0.5", "2,1"])
     def test_nonlocal_sweep_rejects_beta_at_most_one(self, tmp_path, capsys, kind, betas):
@@ -260,8 +272,9 @@ class TestEndToEnd:
 
 
 class TestSweepPoolAndSeed:
-    """`--jobs` sizes the sweep's pool by its cell count; `--jobs` and
-    `--seed` outside their ranges are configuration errors."""
+    """`--jobs` caps the sweep's pool, which also stops at the cell count and
+    at the CPUs in the affinity mask; `--jobs` and `--seed` outside their
+    ranges are configuration errors."""
 
     TWO_CELLS = "nu = 0.1, 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"
     CONFIGS = {
@@ -273,12 +286,13 @@ class TestSweepPoolAndSeed:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Replace the process pool: record max_workers, start no process,
-        and map the cells in this process."""
+        """Pretend the affinity mask holds 4 CPUs and replace the pool that
+        `spectral.process_map` builds: record its worker count, start no
+        process, and map the cells in this process."""
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -290,7 +304,8 @@ class TestSweepPoolAndSeed:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
     def run(self, tmp_path, sub, text, *flags):

@@ -4,8 +4,8 @@ Every module needs numpy and scipy.linalg. scipy.integrate, whose package
 init also loads scipy.optimize and scipy.special, and scipy.interpolate load
 on first use inside `waveop`, so a process that never builds a wave operator
 does not pay their start-up time and memory. A DNS step runs on numpy.fft
-alone, so it leaves scipy.fft unloaded. multiprocessing loads only when a
-wave-operator build starts its pool.
+alone, so it leaves scipy.fft unloaded. multiprocessing loads only when
+`spectral.process_map` starts a pool.
 """
 
 import json
@@ -58,6 +58,6 @@ def test_deferred_scipy_modules_load_only_on_use():
             "waveop"} <= set(out["modules"])
     assert out["after_import"] == []
     assert not out["fft_after_step"]  # the DNS transforms are numpy's own
-    assert not out["mp_after_step"]  # only a wave-operator build starts a pool
+    assert not out["mp_after_step"]  # only process_map starts a pool
     assert "scipy.integrate" in out["after_build"]
     assert "scipy.interpolate" in out["after_fill"]

@@ -1,7 +1,18 @@
-"""Operator assembly: collocation oracles, band structure, accretivity."""
+"""Operator assembly: collocation oracles, band structure, accretivity;
+the package's one worker pool."""
+
+import concurrent.futures.process
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import kolmoflow
 
 from kolmoflow.spectral import (
     ConfigurationError,
@@ -18,6 +29,7 @@ from kolmoflow.spectral import (
     helmholtz_inverse,
     mean_projections,
     multiplication_matrix,
+    process_map,
 )
 
 RNG = np.random.default_rng(20260809)
@@ -425,3 +437,79 @@ def test_operator_matrix_band_layout():
     assert np.array_equal(op.shifted(0.5).dense(), a - 0.5j * np.eye(9))
     with pytest.raises(ConfigurationError):
         OperatorMatrix(np.zeros((2, 9)))
+
+
+# ---------------------------------------------------------------------------
+# process_map
+# ---------------------------------------------------------------------------
+
+def _pid_and_square(x):
+    return os.getpid(), x * x
+
+
+ONE_WORKER_PROBE = """
+import json, os, sys
+from kolmoflow.spectral import process_map
+f = lambda x: (os.getpid(), x)  # a pool would have to pickle it
+out = process_map(f, range(5), cap=1) + process_map(f, [5])
+print(json.dumps({"pids": sorted({p for p, _ in out}), "me": os.getpid(),
+                  "order": [x for _, x in out], "mp": "multiprocessing" in sys.modules}))
+"""
+
+
+class TestProcessMap:
+    """`process_map` runs on a fork pool of min(cap, CPUs in the affinity
+    mask, items) workers, and in the caller's process when that is one."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """(workers, start method) of every pool `process_map` builds."""
+        made = []
+        real = concurrent.futures.process.ProcessPoolExecutor
+
+        class RecordingPool(real):
+            def __init__(self, max_workers, mp_context=None):
+                made.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    def test_pool_keeps_order_and_leaves_no_children(self, monkeypatch, pools):
+        self.set_cpus(monkeypatch, 2)
+        out = process_map(_pid_and_square, range(12))
+        assert [sq for _, sq in out] == [x * x for x in range(12)]
+        assert os.getpid() not in {pid for pid, _ in out}
+        assert pools == [(2, "fork")]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cap, cpus, items, workers", [
+        (8, 2, 12, 2),      # the affinity mask bounds a large cap
+        (None, 3, 2, 2),    # the items bound the CPUs
+        (2, 3, 12, 2),      # the cap bounds the CPUs
+        (1, 4, 12, None),   # one worker: no pool
+        (None, 1, 12, None),
+        (None, 3, 1, None),
+    ])
+    def test_worker_count_is_min_of_cap_cpus_items(self, monkeypatch, pools, cap, cpus,
+                                                   items, workers):
+        self.set_cpus(monkeypatch, cpus)
+        out = process_map(_pid_and_square, range(items), cap=cap)
+        assert [sq for _, sq in out] == [x * x for x in range(items)]
+        assert pools == ([] if workers is None else [(workers, "fork")])
+
+    def test_one_worker_runs_in_the_caller_without_multiprocessing(self):
+        src = str(Path(kolmoflow.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", ONE_WORKER_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["pids"] == [out["me"]]
+        assert out["order"] == list(range(6))
+        assert not out["mp"]

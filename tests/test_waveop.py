@@ -296,8 +296,9 @@ class TestCoarseLevels:
 
 
 class TestNodePool:
-    """A build solves its c-nodes on a fork pool of one worker per CPU in
-    the affinity mask; on one CPU it solves them in this process."""
+    """A build solves its c-nodes through `spectral.process_map`: on a fork
+    pool of one worker per CPU in the affinity mask, and in this process on
+    one CPU. The tables are the same bits either way."""
 
     @pytest.mark.parametrize("alpha, n", [(2.0, 128), (16.0, 64)])
     def test_pool_build_equals_serial_build(self, monkeypatch, alpha, n):
