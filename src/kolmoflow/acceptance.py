@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import ModeParams, StarMetric, assemble_mode_operators, build_grid
+from .spectral import ModeParams, build_grid
 from . import pseudospectra as ps
 from . import evolution as ev
 from . import waveop as wv
@@ -80,31 +80,15 @@ def criterion_psi_scaling() -> dict:
 # -- 3: Gearhart-Pruss ----------------------------------------------------------
 
 def criterion_gearhart_pruss() -> dict:
-    cases = []
-    # ModeH, euclidean
-    p = ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)
-    psi = ps.psi_for_params(p, "H", n=256, scan_count=96)
-    grid = build_grid(256, p, alpha=p.k1 * p.gamma / p.k_f**4)
-    _, mh = assemble_mode_operators(p, grid)
-    cases.append(("ModeH", mh, psi, None))
-    # ModeL, star metric
-    p2 = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
-    psi2 = ps.psi_for_params(p2, "L", n=256, scan_count=96)
-    grid2 = build_grid(256, p2, alpha=p2.k1 * p2.gamma / p2.k_f**4)
-    ml, _ = assemble_mode_operators(p2, grid2)
-    cases.append(("ModeL(star)", ml, psi2, StarMetric.for_beta(p2.beta, grid2)))
-    # Q1 ModeL at alpha=1, mean-zero star metric
-    p3 = ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)
-    psi3 = ps.psi_for_params(p3, "Q1L", n=256, scan_count=96)
-    grid3 = build_grid(256, p3, alpha=p3.k1 * p3.gamma / p3.k_f**4)
-    ml3, _ = assemble_mode_operators(p3, grid3)
-    metric3 = StarMetric.for_alpha1(grid3)
-    q1ml = ml3.restricted(grid3.wavenumbers != 0)
-    cases.append(("Q1ModeL(star)", q1ml,
-                  psi3, StarMetric(weights=metric3.weights[metric3.keep])))
+    # ModeH euclidean; ModeL star; Q1 ModeL at alpha=1, mean-zero star metric
+    cases = (("ModeH", "H", ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)),
+             ("ModeL(star)", "L", ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)),
+             ("Q1ModeL(star)", "Q1L", ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)))
     passed = True
     details = {}
-    for name, op, psi_res, metric in cases:
+    for name, which, p in cases:
+        op, metric = ps.psi_operator(p, which, n=256)
+        psi_res = ps.compute_psi(op, ps.default_psi_query(p, scan_count=96), metric=metric)
         t_max = 20.0 / psi_res.psi
         times = np.linspace(0.0, t_max, 41)
         out = ev.semigroup_norm_curve(op, times, psi_res, metric=metric)
@@ -311,16 +295,15 @@ def criterion_forced_decay() -> dict:
         hom = ev.forced_decay(p, ev.ForcingSpec(kind="zero"), t_end=t_end,
                               dt=t_end / 600.0, c_hat=c_hat, grid=grid, f0=f0,
                               c_prime=c_prime)
-        from .evolution import Trajectory, fit_decay_rate
         zeros = np.zeros_like(hom["times"])
-        synth = Trajectory(times=hom["times"], norm_f=hom["norms"],
-                           norm_g=hom["norms"], norm_q1f=zeros, norm_p1f=zeros,
-                           norm_dyf=zeros, params=p, grid=grid)
+        synth = ev.Trajectory(times=hom["times"], norm_f=hom["norms"],
+                              norm_g=hom["norms"], norm_q1f=zeros, norm_p1f=zeros,
+                              norm_dyf=zeros, params=p, grid=grid)
         traj = ev.evolve_coupled(p, f0, np.zeros_like(f0), t_end, t_end / 600.0,
                                  grid=grid)
         hom_rates[gamma] = {
-            "forced_path": fit_decay_rate(synth, "f").rate,
-            "evolve_path": fit_decay_rate(traj, "f").rate,
+            "forced_path": ev.fit_decay_rate(synth, "f").rate,
+            "evolve_path": ev.fit_decay_rate(traj, "f").rate,
             "x_finite": bool(np.isfinite(hom["x_norm_sq"])),
         }
     ratio = c_fits[0.4] / c_fits[0.1]

@@ -67,7 +67,6 @@ class DNSConfig:
     seed: int = 0
     c_prime: float = 0.1
     nonlinear: bool = True
-    background: bool = True
 
     def __post_init__(self):
         if not (0 < self.k_f < 1):
@@ -339,8 +338,7 @@ def explicit_rhs(state: SpectralField3D, what: np.ndarray,
     out = np.empty_like(what) if out is None else out
     out[...] = 0.0  # the terms add onto +0.0, so a -0.0 term ends up +0.0
     term = state._stage[4]
-    if cfg.background:
-        out += background_rhs(state, what, term)
+    out += background_rhs(state, what, term)
     if cfg.nonlinear:
         out += nonlinear_rhs(state, what, term)
     return state.project_box(out)
@@ -554,10 +552,7 @@ class ThresholdMap:
         return all(b >= a - 1e-300 for a, b in zip(stars, stars[1:]))
 
     def as_record(self) -> dict:
-        return {"rows": [{k: r[k] for k in
-                          ("nu", "gamma", "epsilon", "seed", "outcome",
-                           "rate_neq", "m0", "m1", "resolved")}
-                         for r in self.rows],
+        return {"rows": [dict(r) for r in self.rows],
                 "monotone_in_nu": self.monotone_in_nu(),
                 "bracketed": {nu: self.bracketed(nu)
                               for nu in sorted({r["nu"] for r in self.rows})}}

@@ -48,7 +48,6 @@ from .pseudospectra import PsiResult, _golden_refine
 
 DECAY_FLOOR = 1e-13
 SEMIGROUP_TOL = 1e-6
-TWO_PI_NORM_ONE = 2.0 * np.pi  # <1,1> on the torus
 
 
 @dataclass
@@ -197,10 +196,10 @@ def _last_propagators(kind: str, params: ModeParams, grid: FourierGrid, dt: floa
 
 
 def operator_norm(mat: np.ndarray, metric: StarMetric | None = None) -> float:
+    """||mat||_2, or its star norm ||W^(1/2) mat W^(-1/2)||_2 for a metric
+    without `keep` (one of mat's size, as `psi_operator` returns)."""
     if metric is not None:
-        w = metric.sqrt_weights()
-        if metric.keep is not None:
-            mat = mat[np.ix_(metric.keep, metric.keep)]
+        w = np.sqrt(metric.weights)
         mat = (w[:, None] * mat) / w[None, :]
     return float(svdvals(mat)[0])
 
@@ -243,7 +242,7 @@ def _traj_from_states(times, fs, gs, params, grid, store_states) -> Trajectory:
 
 
 def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
-                   t_end: float, dt: float, grid: FourierGrid | None = None,
+                   t_end: float, dt: float, grid: FourierGrid,
                    store_states: bool = False) -> Trajectory:
     """Evolve the coupled per-mode system from (f0, g0) to t_end.
 
@@ -252,8 +251,6 @@ def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
     integral of the coupling over the step, so the step size only sets the
     sampling of the trajectory.
     """
-    if grid is None:
-        grid = build_grid(128, params)
     n = grid.n
 
     def block_step():
@@ -476,8 +473,8 @@ def alpha1_generator(nu: float, beta: float, grid: FourierGrid) -> np.ndarray:
 
 
 def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
-                 n_random: int = 20, t_end: float | None = None,
-                 dt: float | None = None, seed: int = 7) -> dict:
+                 n_random: int = 20, *, t_end: float, dt: float,
+                 seed: int = 7) -> dict:
     """Inverse bounds, conserved-functional drift and channel fits at alpha=1.
 
     beta = gamma*k1; the suite solves L1 u = w for a random ensemble
@@ -506,14 +503,10 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
     one = np.zeros(grid.n, dtype=complex)
     one[grid.wavenumbers == 0] = 1.0
     u1 = _l1_banded_solve(op, one)
-    lower_ratio = abs(grid.inner_coeffs(u1, one)) * abs(beta) / nu / TWO_PI_NORM_ONE
+    lower_ratio = abs(grid.inner_coeffs(u1, one)) * abs(beta) / nu / TWO_PI  # <1,1> = 2*pi
 
     # (ii) evolve f' = -nu f + L1 u
     gen = alpha1_generator(nu, beta, grid)
-    if t_end is None:
-        t_end = 5.0 / nu
-    if dt is None:
-        dt = t_end / 400.0
     steps = int(np.ceil(t_end / dt - 1e-12))
     times = np.arange(steps + 1) * dt
     e = propagator(gen, dt)
@@ -559,7 +552,7 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
 # ---------------------------------------------------------------------------
 
 def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
-                 dt: float, c_hat: float, grid: FourierGrid | None = None,
+                 dt: float, c_hat: float, grid: FourierGrid,
                  f0: np.ndarray | None = None,
                  c_prime: float | None = None) -> dict:
     """Evolve the forced f equation and account the X_{c'} norm.
@@ -577,8 +570,6 @@ def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
     if c_prime >= c_hat:
         raise ConfigurationError(
             f"c'={c_prime} must be < fitted c_hat={c_hat} (weighted integrals diverge)")
-    if grid is None:
-        grid = build_grid(96, params)
 
     def a_l_steps():
         a_l, _, _ = coupled_generators(params, grid)

@@ -232,19 +232,16 @@ def smallest_singular_value(op: OperatorMatrix, lam: complex = 0.0,
                             method: str = "auto") -> float:
     """sigma_min of (A - i*lam) in the given metric.
 
-    With a metric W this is sigma_min(W^(1/2) (A - i*lam) W^(-1/2)); the
-    similarity is exact because W is diagonal. `method` is "dense" (the
-    SVD, kept as the test oracle), "banded" (the O(n) kernel) or "auto"
-    (the SVD up to DENSE_SVD_MAX, the kernel above); any other value
-    raises ConfigurationError.
+    With a metric this is sigma_min of `metric.transform(A - i*lam)`.
+    `method` is "dense" (the SVD, kept as the test oracle), "banded" (the
+    O(n) kernel) or "auto" (the SVD up to DENSE_SVD_MAX, the kernel above);
+    any other value raises ConfigurationError.
     """
     if method not in ("auto", "dense", "banded"):
         raise ConfigurationError(f"unknown sigma_min method {method!r}")
     shifted = op.shifted(lam)
     if metric is not None:
-        if metric.keep is not None:
-            shifted = shifted.restricted(metric.keep)
-        shifted = shifted.scaled_similarity(metric.sqrt_weights())
+        shifted = metric.transform(shifted)
     if method == "dense" or (method == "auto" and shifted.n <= DENSE_SVD_MAX):
         return float(np.linalg.svd(shifted.dense(), compute_uv=False)[-1])
     return _sigma_min_bisect_polish(shifted)
@@ -290,10 +287,9 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
     """Coarse scan + golden-section refinement of all interior local minima.
 
     The scan is in the star metric if and only if `metric` is given, and in
-    the euclidean one otherwise. The metric is applied once per scan
-    (restriction to `metric.keep`, then the similarity W^(1/2) A W^(-1/2))
-    and each point only shifts the result; the shift commutes with both, so
-    this is exact up to rounding.
+    the euclidean one otherwise. `metric.transform` is applied once per scan
+    and each point only shifts the result; the shift commutes with the
+    restriction and the diagonal similarity, so this is exact up to rounding.
 
     If the transformed operator M is real, sigma_min is even in lam:
     conj(M - i*lam) = M + i*lam has the same singular values. Each distinct
@@ -305,11 +301,7 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
     mirrored pair, so lam_star <= 0. Any other operator is evaluated once per
     distinct lam. `sigma_evals` counts the sigma_min evaluations of the scan.
     """
-    a = op
-    if metric is not None:
-        if metric.keep is not None:
-            a = a.restricted(metric.keep)
-        a = a.scaled_similarity(metric.sqrt_weights())
+    a = op if metric is None else metric.transform(op)
     even = not np.any(a.ab.imag)
     memo: dict[float, float] = {}
 
@@ -476,27 +468,36 @@ def psi_grid(params: ModeParams, n: int | None = None) -> FourierGrid:
     return build_grid(n, params, alpha=alpha_res)
 
 
-def psi_for_params(params: ModeParams, which: str, n: int | None = None,
-                   scan_count: int = 128) -> PsiResult:
-    """Psi of one mode operator; which in {"H", "L", "Q1L"}.
+def psi_operator(params: ModeParams, which: str, n: int | None = None
+                 ) -> tuple[OperatorMatrix, StarMetric | None]:
+    """The operator a Psi scan of `which` reads, and the metric it is
+    scanned in, on `psi_grid(params, n)`; which in {"H", "L", "Q1L"}.
 
-    "H" uses the euclidean metric; "L" the beta>1 star metric; "Q1L" the
-    alpha=1 mean-zero star metric.
+    "H" is ModeH in the euclidean metric; "L" is ModeL in the beta > 1 star
+    metric; "Q1L" is ModeL restricted to the mean-zero modes n != 0, in the
+    alpha = 1 star metric on them (no `keep`: the operator is restricted
+    already). The Gearhart-Pruss bound e^(-t Psi + pi/2) holds for the
+    semigroup of this operator in this metric.
     """
     grid = psi_grid(params, n)
     mode_l, mode_h = assemble_mode_operators(params, grid)
-    query = default_psi_query(params, scan_count=scan_count)
     if which == "H":
-        return compute_psi(mode_h, query)
+        return mode_h, None
     if which == "L":
-        metric = StarMetric.for_beta(params.beta, grid)
-        return compute_psi(mode_l, query, metric=metric)
+        return mode_l, StarMetric.for_beta(params.beta, grid)
     if which == "Q1L":
         if params.beta != 1.0:
             raise ConfigurationError("Q1L path requires k1^2+k3^2 = k_f^2 = 1")
-        metric = StarMetric.for_alpha1(grid)
-        return compute_psi(mode_l, query, metric=metric)
+        star = StarMetric.for_alpha1(grid)
+        return mode_l.restricted(star.keep), StarMetric(weights=star.weights[star.keep])
     raise ConfigurationError(f"unknown operator selector {which!r}")
+
+
+def psi_for_params(params: ModeParams, which: str, n: int | None = None,
+                   scan_count: int = 128) -> PsiResult:
+    """Psi of the `psi_operator(params, which, n)` operator in its metric."""
+    op, metric = psi_operator(params, which, n)
+    return compute_psi(op, default_psi_query(params, scan_count=scan_count), metric=metric)
 
 
 def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",

@@ -440,17 +440,11 @@ class StarMetric:
         w = 1.0 - 1.0 / (1.0 + n.astype(float) ** 2)
         return cls(weights=w, keep=n != 0)
 
-    def sqrt_weights(self) -> np.ndarray:
-        w = self.weights if self.keep is None else self.weights[self.keep]
-        return np.sqrt(w)
-
-    def norm_coeffs(self, c: np.ndarray) -> float:
-        cc = c if self.keep is None else c[self.keep]
-        w = self.weights if self.keep is None else self.weights[self.keep]
-        return np.sqrt(TWO_PI * np.sum(w * np.abs(cc) ** 2))
-
-    def inner_coeffs(self, c: np.ndarray, d: np.ndarray) -> complex:
-        cc, dd = (c, d) if self.keep is None else (c[self.keep], d[self.keep])
-        w = self.weights if self.keep is None else self.weights[self.keep]
-        return TWO_PI * np.sum(cc * np.conj(dd) * w)
-
+    def transform(self, op: OperatorMatrix) -> OperatorMatrix:
+        """W^(1/2) A W^(-1/2) of A restricted to `keep` (when set): the
+        euclidean singular values of the result are the star ones of A.
+        The similarity is exact because W is diagonal."""
+        w = self.weights
+        if self.keep is not None:
+            op, w = op.restricted(self.keep), w[self.keep]
+        return op.scaled_similarity(np.sqrt(w))

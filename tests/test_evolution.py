@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from kolmoflow import evolution
 from kolmoflow.spectral import (
+    TWO_PI,
     ConfigurationError,
     ModeParams,
     OperatorMatrix,
@@ -139,7 +140,8 @@ class TestEvolveCoupled:
         f0 = grid.random_coeffs(RNG)
         traj = evolve_coupled(p, f0, np.zeros_like(f0), 1.0, 0.05, grid=grid,
                               store_states=True)
-        stars = np.array([metric.norm_coeffs(f) for f in traj.f_states])
+        stars = np.array([np.sqrt(TWO_PI * np.sum(metric.weights * np.abs(f) ** 2))
+                          for f in traj.f_states])
         assert np.all(np.diff(stars) <= 1e-12 * stars[:-1])
 
 
@@ -305,8 +307,8 @@ class TestAlpha1:
         assert np.linalg.norm(back - w) <= 1e-10 * np.linalg.norm(w)
 
     def test_k1_validation(self):
-        with pytest.raises(Exception):
-            alpha1_suite(nu=0.01, gamma=0.1, k1=2)
+        with pytest.raises(ConfigurationError, match="k1"):
+            alpha1_suite(nu=0.01, gamma=0.1, k1=2, t_end=1.0, dt=0.1)
 
 
 class TestForcedDecay:
@@ -332,9 +334,9 @@ class TestForcedDecay:
 
     def test_cprime_validation(self):
         p = self.params()
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="c'"):
             forced_decay(p, ForcingSpec(kind="zero"), 1.0, 0.1, c_hat=0.3,
-                         c_prime=0.5)
+                         grid=build_grid(48, p), c_prime=0.5)
 
     def test_accumulators_nondecreasing(self):
         acc = NormAccumulators(c_prime=0.1, gamma=0.4, nu=0.01)

@@ -28,6 +28,8 @@ from kolmoflow.pseudospectra import (
     pseudospectrum_grid,
     psi_bound_sweep,
     psi_for_params,
+    psi_grid,
+    psi_operator,
     resolvent_bound_sweep,
     smallest_singular_value,
 )
@@ -46,18 +48,17 @@ def dense_sigma_min(op):
     return np.linalg.svd(op.dense(), compute_uv=False)[-1]
 
 
+def mode_params(which):
+    """The parameters of the criterion-3 case of `which`."""
+    return (ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1) if which == "L" else
+            ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0))
+
+
 def mode_psi_case(which, n, scan_count=64):
     """(operator, query, metric) of one psi_for_params case at n."""
-    p = (ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1) if which == "L" else
-         ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0))
-    grid = build_grid(n, p, alpha=p.k1 * p.gamma / p.k_f**4)
-    mode_l, mode_h = assemble_mode_operators(p, grid)
-    query = default_psi_query(p, scan_count=scan_count)
-    if which == "H":
-        return mode_h, query, None
-    if which == "L":
-        return mode_l, query, StarMetric.for_beta(p.beta, grid)
-    return mode_l, query, StarMetric.for_alpha1(grid)
+    p = mode_params(which)
+    op, metric = psi_operator(p, which, n)
+    return op, default_psi_query(p, scan_count=scan_count), metric
 
 
 def full_grid_psi(op, query, metric=None):
@@ -136,7 +137,7 @@ class TestSigmaMin:
         for lam in (0.0, 0.75, 1.5):
             q = ResolventQuery(lam=lam, beta_tilde=np.sqrt(3.0))
             op = assemble_L_lambda(p, q, grid, alpha=100.0, beta=2.0)
-            m = op.scaled_similarity(metric.sqrt_weights())
+            m = metric.transform(op)
             dense = dense_sigma_min(m)
             assert abs(smallest_singular_value(m, method="banded") - dense) / dense <= 1e-12
 
@@ -172,7 +173,7 @@ def upper_band_op(n=7, seed=3):
 def star_mode_l(lam=0.3):
     """A ModeL shifted by i*lam and star-scaled W^(1/2) A W^(-1/2)."""
     op, _, metric = mode_psi_case("L", 64)
-    return op.shifted(lam).scaled_similarity(metric.sqrt_weights())
+    return metric.transform(op.shifted(lam))
 
 
 class TestNormBounds:
@@ -361,6 +362,49 @@ class TestComputePsi:
         psi_hi = psi_for_params(
             ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0), "H", n=128).psi
         assert psi_hi / psi_lo == pytest.approx(2.0, rel=0.15)
+
+
+class TestPsiOperator:
+    @pytest.mark.parametrize("which", ["H", "L", "Q1L"])
+    def test_is_the_hand_built_gearhart_pruss_case(self, which):
+        # criterion 3 used to assemble its operators and metrics itself
+        p = mode_params(which)
+        grid = build_grid(256, p, alpha=p.k1 * p.gamma / p.k_f**4)
+        mode_l, mode_h = assemble_mode_operators(p, grid)
+        if which == "H":
+            want_op, want_weights = mode_h, None
+        elif which == "L":
+            want_op, want_weights = mode_l, StarMetric.for_beta(p.beta, grid).weights
+        else:
+            star = StarMetric.for_alpha1(grid)
+            want_op = mode_l.restricted(grid.wavenumbers != 0)
+            want_weights = star.weights[star.keep]
+        op, metric = psi_operator(p, which, n=256)
+        assert np.array_equal(op.ab, want_op.ab)
+        if want_weights is None:
+            assert metric is None
+        else:
+            assert metric.keep is None
+            assert np.array_equal(metric.weights, want_weights)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_q1l_psi_is_the_keep_metric_scan_bit_for_bit(self, n):
+        p = mode_params("Q1L")
+        query = default_psi_query(p, scan_count=96)
+        grid = psi_grid(p, n)
+        mode_l, _ = assemble_mode_operators(p, grid)
+        want = compute_psi(mode_l, query, metric=StarMetric.for_alpha1(grid))
+        got = psi_for_params(p, "Q1L", n=n, scan_count=96)
+        assert (got.psi, got.lam_star, got.scan_error, got.sigma_evals) == (
+            want.psi, want.lam_star, want.scan_error, want.sigma_evals)
+        assert np.array_equal(got.sigma_grid, want.sigma_grid)
+        assert np.array_equal(got.lam_grid, want.lam_grid)
+
+    def test_selector_errors(self):
+        with pytest.raises(ConfigurationError, match="selector"):
+            psi_operator(mode_params("H"), "Q1H", n=64)
+        with pytest.raises(ConfigurationError, match="Q1L"):
+            psi_operator(mode_params("L"), "Q1L", n=64)
 
 
 class TestPsiScanEvenness:

@@ -15,6 +15,7 @@ import pytest
 import kolmoflow
 
 from kolmoflow.spectral import (
+    TWO_PI,
     ConfigurationError,
     FourierGrid,
     ModeParams,
@@ -42,6 +43,17 @@ def params_for(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0):
 def query_for(params, lam):
     """The u-form resolvent query at lam: beta_tilde = sqrt(beta^2 - 1)."""
     return ResolventQuery(lam=lam, beta_tilde=np.sqrt(params.beta**2 - 1.0))
+
+
+def star_inner(metric, c, d):
+    """<c, d>_* = 2*pi sum_n w_n c_n conj(d_n) over the metric's modes
+    (n != 0 where `keep` masks the mean out)."""
+    keep = slice(None) if metric.keep is None else metric.keep
+    return TWO_PI * np.sum(metric.weights[keep] * c[keep] * np.conj(d[keep]))
+
+
+def star_norm(metric, c):
+    return np.sqrt(star_inner(metric, c, c).real)
 
 
 def to_coeffs(grid, values):
@@ -284,10 +296,10 @@ class TestAccretivity:
         worst = np.inf
         for _ in range(20):
             c = grid.random_coeffs(RNG)
-            lhs = np.real(metric.inner_coeffs(ml.matvec(c), c))
-            rhs = p.nu * p.k_f**2 * metric.norm_coeffs(1j * n * c) ** 2
+            lhs = np.real(star_inner(metric, ml.matvec(c), c))
+            rhs = p.nu * p.k_f**2 * star_norm(metric, 1j * n * c) ** 2
             assert abs(lhs - rhs) / abs(rhs) <= 1e-10
-            worst = min(worst, lhs / metric.norm_coeffs(c) ** 2)
+            worst = min(worst, lhs / star_norm(metric, c) ** 2)
         assert worst >= -1e-12
 
     def test_modeH_eigenvalues_nonnegative_real(self):
@@ -340,7 +352,7 @@ class TestStarMetric:
         for _ in range(100):
             c = grid.random_coeffs(RNG)
             l2 = grid.norm_coeffs(c) ** 2
-            star = m.norm_coeffs(c) ** 2
+            star = star_norm(m, c) ** 2
             assert lo * l2 - 1e-12 * l2 <= star <= l2 * (1 + 1e-12)
 
     def test_sandwich_alpha1(self):
@@ -349,8 +361,20 @@ class TestStarMetric:
         for _ in range(100):
             c = grid.random_coeffs(RNG, mean_zero=True)
             l2 = grid.norm_coeffs(c) ** 2
-            star = m.norm_coeffs(c) ** 2
+            star = star_norm(m, c) ** 2
             assert 0.5 * l2 - 1e-12 * l2 <= star <= l2 * (1 + 1e-12)
+
+    def test_transform_is_the_restricted_similarity(self):
+        p = params_for(nu=0.01, gamma=0.3, k_f=0.5, k1=1, k3=1)
+        grid = build_grid(32, p)
+        ml, _ = assemble_mode_operators(p, grid)
+        for m in (StarMetric.for_beta(p.beta, grid), StarMetric.for_alpha1(grid)):
+            keep = np.ones(32, bool) if m.keep is None else m.keep
+            w = np.sqrt(m.weights[keep])
+            want = w[:, None] * ml.dense()[np.ix_(keep, keep)] / w[None, :]
+            got = m.transform(ml).dense()
+            assert got.shape == (keep.sum(),) * 2
+            assert np.allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_half_period_shift_conjugation():
