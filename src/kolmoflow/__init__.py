@@ -3,7 +3,7 @@
 Modules
 -------
 spectral      Fourier-Galerkin operators, grids, projections, star metric;
-              process_map, the one worker pool.
+              process_map, the one fan-out over the affinity mask.
 pseudospectra sigma_min machinery, Psi scans, resolvent/Psi bound sweeps.
 evolution     propagators, coupled mode evolution, decay fits, alpha=1 suite.
 waveop        wave operators D1/D2, intertwining and bound checks.

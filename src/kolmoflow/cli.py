@@ -4,13 +4,15 @@ Config files are plain text `key = value` lines (# comments allowed).
 Values: scalars (int/float/str) or comma-separated lists; key paths are
 flat dotted names documented per subcommand in SCHEMAS. Unknown keys,
 type mismatches and range violations (a list key left empty counts as one,
-unless its default is the empty list) are rejected with line numbers and
-distinct exit codes (10/11/12); other configuration problems exit 2,
-verdict failures exit 1, numerical-resolution flags exit 3. `--seed` must
-lie in [0, 2**64) and `--jobs` must be at least 1 (exit 2 otherwise).
+unless its default is the empty list, and so does a nan or inf value) are
+rejected with line numbers and distinct exit codes (10/11/12); other
+configuration problems exit 2, among them a key set on two lines, a
+`--seed` outside [0, 2**64) and an `--out` that names an existing file.
+Verdict failures exit 1, numerical-resolution flags exit 3.
 
-`threshold` hands `--jobs` to `dns.run_threshold_sweep` as the cap of its
-`spectral.process_map` pool; the other subcommands ignore it. `evolve`
+Subcommands that fan out (`threshold` over its sweep cells, `waveop` over
+wave-operator c-nodes) do so through `spectral.process_map`, over every
+CPU in the affinity mask; there is no option for it. `evolve`
 advances the coupled mode system by its exact block exponential and has no
 method key, so a config that still sets `method` is rejected as an unknown
 key (exit 10). `all-acceptance` has no keys: it runs every criterion at full
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -138,11 +141,9 @@ class RunConfig:
     values: dict
     out_dir: Path
     seed: int = 0
-    jobs: int = 1
 
     def echo(self) -> dict:
-        return {"subcommand": self.subcommand, "seed": self.seed,
-                "jobs": self.jobs, **self.values}
+        return {"subcommand": self.subcommand, "seed": self.seed, **self.values}
 
 
 def _parse_scalar(raw: str):
@@ -168,6 +169,7 @@ def parse_config(text: str, subcommand: str) -> dict:
         raise ConfigError(f"no config schema for subcommand {subcommand!r}")
     schema = {e["name"]: e for e in SCHEMAS[subcommand]}
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -177,6 +179,11 @@ def parse_config(text: str, subcommand: str) -> dict:
         key, raw = (s.strip() for s in body.split("=", 1))
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", EXIT_UNKNOWN_KEY)
+        if key in set_on:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} is already set on line {set_on[key]}",
+                EXIT_CONFIG)
+        set_on[key] = lineno
         ent = schema[key]
         if ent["kind"] is list:
             vals = [_parse_scalar(v) for v in raw.split(",") if v.strip()]
@@ -186,6 +193,10 @@ def parse_config(text: str, subcommand: str) -> dict:
             if not vals and ent["default"] != []:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} wants at least one value", EXIT_RANGE)
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} wants finite values, got {raw!r}",
+                    EXIT_RANGE)
             values[key] = [float(v) for v in vals]
             continue
         val = _parse_scalar(raw)
@@ -199,6 +210,10 @@ def parse_config(text: str, subcommand: str) -> dict:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} wants a number, got {raw!r}",
                     EXIT_TYPE)
+            if not math.isfinite(val):
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} wants a finite number, got {raw!r}",
+                    EXIT_RANGE)
             val = float(val)
         elif ent["kind"] is str:
             val = str(val)
@@ -461,7 +476,7 @@ def _run_threshold(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     v = cfg.values
     tmap = dns.run_threshold_sweep(
         sorted(v["nu"]), sorted(v["epsilon"]),
-        {"k_f": v["k_f"], "n": (v["n"],) * 3, "seed": cfg.seed}, jobs=cfg.jobs)
+        {"k_f": v["k_f"], "n": (v["n"],) * 3, "seed": cfg.seed})
     unresolved = any(not r["resolved"] for r in tmap.rows)
     return _jsonable(tmap.as_record()), tmap.monotone_in_nu(), unresolved, {}
 
@@ -486,7 +501,12 @@ RUNNERS = {
 
 
 def run_subcommand(cfg: RunConfig) -> int:
-    """Run a parsed RunConfig, then write its tables and report; returns the exit code."""
+    """Run a parsed RunConfig, then write its tables and report; returns the exit code.
+
+    An `--out` that cannot become a directory is refused before anything runs."""
+    existing = next(p for p in (cfg.out_dir, *cfg.out_dir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {cfg.out_dir}: {existing} exists and is not a directory")
     payload, passed, res_flag, tables = RUNNERS[cfg.subcommand](cfg)
     envelope = _envelope(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -511,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="plain-text key=value configuration file")
     ap.add_argument("--out", type=Path, default=Path("out"),
                     help="output directory for reports and CSV tables")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for threshold sweep cells "
-                         "(at most one per cell and per CPU in the affinity mask)")
     ap.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64)")
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")
@@ -536,8 +553,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.config is not None:
@@ -547,8 +562,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             values = parse_config("", args.subcommand)
         return run_subcommand(RunConfig(subcommand=args.subcommand, values=values,
-                                        out_dir=args.out, seed=args.seed,
-                                        jobs=args.jobs))
+                                        out_dir=args.out, seed=args.seed))
     except (ConfigError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_CONFIG)

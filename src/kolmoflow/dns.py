@@ -38,7 +38,7 @@ same arrays as a full-spectrum solver would.
 
 `run_threshold_sweep` is the one (nu, eps) sweep: the `threshold`
 subcommand and acceptance criterion 9 both call it, and it runs its cells
-through `spectral.process_map`, in this process unless `jobs` asks for more.
+through `spectral.process_map`, over every CPU in the affinity mask.
 """
 
 from __future__ import annotations
@@ -559,8 +559,7 @@ class ThresholdMap:
 
 
 def _sweep_row(cell: tuple[DNSConfig, int]) -> dict:
-    """One threshold-sweep cell, run from its config; module level, so a
-    process pool can send it to a worker."""
+    """One threshold-sweep cell, run from its config."""
     cfg, sample_every = cell
     out = run_simulation(cfg, sample_every=sample_every)
     return {"nu": cfg.nu, "gamma": cfg.gamma, "epsilon": cfg.epsilon, "seed": cfg.seed,
@@ -569,19 +568,18 @@ def _sweep_row(cell: tuple[DNSConfig, int]) -> dict:
 
 
 def run_threshold_sweep(nus, epsilons, template: dict | None = None,
-                        sample_every: int = 25, jobs: int = 1) -> ThresholdMap:
+                        sample_every: int = 25) -> ThresholdMap:
     """(nu, eps) outcome map; gamma follows the template (default gamma=nu).
 
-    Cells run in (nu, eps) order through `process_map` with cap `jobs`: on
-    min(jobs, cells, CPUs in the affinity mask) forked workers when that is
-    more than one, in this process otherwise. The pool maps over the built
-    configs, so a template's `gamma_of` never leaves this process. Rows come
-    back in cell order, and outcomes are deterministic given the seed, so
-    the map does not depend on `jobs`. Monotonicity report: the
-    decayed/persisted boundary eps*(nu) must not decrease with nu.
+    Cells run through `process_map`: this process runs the first, and
+    forked children share the rest when the affinity mask holds more than
+    one CPU. Rows come back in (nu, eps) order, and outcomes are
+    deterministic given the seed, so the map does not depend on the CPU
+    count. Monotonicity report: the decayed/persisted boundary eps*(nu)
+    must not decrease with nu.
     """
     template = dict(template or {})
     gamma_of = template.pop("gamma_of", lambda nu: nu)
     cells = [(DNSConfig(nu=nu, gamma=gamma_of(nu), epsilon=eps, **template), sample_every)
              for nu in nus for eps in epsilons]
-    return ThresholdMap(rows=process_map(_sweep_row, cells, cap=jobs))
+    return ThresholdMap(rows=process_map(_sweep_row, cells))

@@ -9,14 +9,20 @@ The L2 inner product on the torus is <f,g> = int f conj(g) dy
 = 2*pi * sum_n c_n conj(d_n), and the same convention is used for grid
 values via the quadrature weight 2*pi/N.
 
-`process_map` is the one worker pool of the package: the wave-operator
-build maps its c-nodes through it and the threshold sweep its cells.
+`process_map` is the one fan-out of the package: the wave-operator build
+maps its c-nodes through it and the threshold sweep its cells, both over
+every CPU in the affinity mask, with the caller as one of the workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import signal
+import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,27 +39,114 @@ class ConfigurationError(ValueError):
     """Invalid grid/parameter configuration."""
 
 
-def process_map(fn, items, cap: int | None = None) -> list:
+#: true while process_map fans out, in the caller and in every child, so a
+#: process_map called inside an item runs serially
+_fanning_out = False
+
+
+def process_map(fn, items) -> list:
     """[fn(x) for x in items], in order.
 
-    Runs on a fork-context process pool of min(cap, CPUs in the affinity
-    mask, len(items)) workers, created and shut down here, and in this
-    process when that count is one (also where there is no affinity mask).
-    Fork, not spawn or forkserver: a worker inherits the modules the caller
-    has loaded instead of importing numpy, scipy and this package afresh
-    (about 0.4 s per worker). multiprocessing is imported only when a pool
-    starts.
+    Fans out over W = min(CPUs in the affinity mask, len(items)) processes:
+    this one and W - 1 children forked here. The caller runs item 0, then it
+    and the children claim the other indices one at a time from one pipe of
+    4-byte records, which a pipe hands out whole, so no process waits on a
+    slow item of another. A child sends its pickled (index, result) pairs
+    once no index is left and leaves by os._exit. With W <= 1 (also where
+    there is no affinity mask) and inside an item of an enclosing
+    process_map, the list is built here and nothing is forked.
+
+    Fork, not spawn: a child inherits the modules and data the caller has
+    instead of importing numpy, scipy and this package afresh (about 0.4 s
+    each), and fn and the items are never pickled. An exception raised by
+    fn in any process is raised here with its own type, after every child
+    has been stopped and reaped.
     """
+    global _fanning_out
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items), cpus if cap is None else cap)
-    if workers <= 1:
+    workers = min(cpus, len(items))
+    if workers <= 1 or _fanning_out:
         return [fn(x) for x in items]
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    import fcntl  # POSIX only, like the affinity mask without which no child is forked
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items))
+    records = np.arange(1, len(items), dtype="<u4").tobytes()
+    claims, claims_w = os.pipe()
+    children: list[tuple[int, int]] = []  # (pid, read end of its reply pipe)
+    reaped = set()
+    _fanning_out = True
+    try:
+        with open(claims_w, "wb") as fh:
+            fcntl.fcntl(claims_w, fcntl.F_SETPIPE_SZ, len(records))
+            fh.write(records)
+        sys.stdout.flush()  # a child must not write the caller's buffered output again
+        sys.stderr.flush()
+        for _ in range(workers - 1):
+            reply, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(reply)
+                _serve_claims(fn, items, claims, reply_w)
+            os.close(reply_w)
+            children.append((pid, reply))
+        out = [fn(items[0])] + [None] * (len(items) - 1)
+        for i in _claimed(claims):
+            out[i] = fn(items[i])
+        failures = []
+        for pid, reply in children:
+            data = b"".join(iter(lambda: os.read(reply, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0:
+                raise ChildProcessError(
+                    f"process_map child {pid} ended with status {status} and no result")
+            for i, ok, value in pickle.loads(data):
+                if ok:
+                    out[i] = value
+                else:
+                    failures.append((i, value))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return out
+    finally:
+        _fanning_out = False
+        for pid, reply in children:
+            if pid not in reaped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(reply)  # after the kill, so no child meets a closed pipe
+        os.close(claims)
+
+
+def _claimed(claims: int):
+    """Indices claimed from the pipe of 4-byte records until it is empty."""
+    while record := os.read(claims, 4):
+        yield int.from_bytes(record, "little")
+
+
+def _serve_claims(fn, items, claims: int, reply_w: int) -> None:
+    """A forked child's whole life: run claimed items until none is left or
+    one raises, send one pickled list of (index, ok, result or exception),
+    and leave by os._exit, which runs no handler of the caller's."""
+    code = 1
+    try:
+        replies = []
+        for i in _claimed(claims):
+            try:
+                replies.append((i, True, fn(items[i])))
+            except Exception as exc:
+                replies.append((i, False, exc))
+                break
+        with open(reply_w, "wb") as fh:
+            fh.write(pickle.dumps(replies))
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ within `margin` of the endpoints, where the endpoint coefficients J_j
 degenerate.
 
 A build solves the profiles of its c-nodes through `spectral.process_map`:
-on a pool of forked worker processes, one per CPU in the process's affinity
-mask, or in the process itself when that mask holds one CPU. Each node is
-solved by the same code wherever it runs, so the tables do not depend on the
-number of CPUs, to the bit.
+in the building process and in forked children, one process per CPU in
+its affinity mask, or in the building process alone when that mask holds
+one CPU. Each node is solved by the same code wherever it runs, so the
+tables do not depend on the number of CPUs, to the bit.
 
 scipy.integrate and scipy.interpolate are imported inside the functions that
 use them, so importing this module loads neither.
@@ -250,7 +250,7 @@ class WaveOperator:
         self.y_c = self.y_half[self.valid_half_idx]
         if _defer:
             return
-        import scipy.integrate  # noqa: F401  (forked pool workers inherit it)
+        import scipy.integrate  # noqa: F401  (forked children inherit it)
 
         nodes = process_map(partial(_solve_node, alpha=self.alpha, y_half=self.y_half),
                             [float(-np.cos(ycv)) for ycv in self.y_c])

@@ -1,9 +1,7 @@
 """Config parsing, exit codes, envelopes and byte-identical reruns."""
 
-import concurrent.futures.process
 import csv
 import json
-import os
 import warnings
 
 import numpy as np
@@ -16,6 +14,7 @@ from kolmoflow.cli import (
     EXIT_RESOLUTION,
     EXIT_TYPE,
     EXIT_UNKNOWN_KEY,
+    RUNNERS,
     ConfigError,
     RunConfig,
     _envelope,
@@ -247,7 +246,7 @@ class TestEndToEnd:
         assert main(["check-report", "--report", str(csv_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("invalid report: ")
 
-    def test_evolve_subcommand_and_threshold_parallel(self, tmp_path):
+    def test_evolve_subcommand_and_threshold_parallel(self, tmp_path, set_cpus):
         cfgfile = tmp_path / "evolve.cfg"
         cfgfile.write_text("nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\n"
                            "n = 48\nt_end = 12\ndt = 0.1\n")
@@ -260,21 +259,21 @@ class TestEndToEnd:
         tcfg = tmp_path / "thr.cfg"
         tcfg.write_text("nu = 0.05\nepsilon = 0, 0.001\nk_f = 0.5\nn = 16\n")
         payloads = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"t{jobs}"
-            code = main(["threshold", "--config", str(tcfg), "--out", str(out),
-                         "--jobs", jobs])
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            out = tmp_path / f"t{cpus}"
+            code = main(["threshold", "--config", str(tcfg), "--out", str(out)])
             assert code in (EXIT_OK, EXIT_RESOLUTION)
             doc = json.loads((out / "threshold_report.json").read_text())
             assert doc["payload"]["monotone_in_nu"] is True
             payloads.append(payload_bytes(doc["payload"]))
-        assert payloads[0] == payloads[1]  # --jobs never changes output bytes
+        assert payloads[0] == payloads[1]  # the CPU count never changes output bytes
 
 
 class TestSweepPoolAndSeed:
-    """`--jobs` caps the sweep's pool, which also stops at the cell count and
-    at the CPUs in the affinity mask; `--jobs` and `--seed` outside their
-    ranges are configuration errors."""
+    """The sweep fans out over the CPUs in the affinity mask and stops at the
+    cell count; `--seed` outside its range is a configuration error, and
+    `--jobs`, which no longer exists, a usage error with the same exit code."""
 
     TWO_CELLS = "nu = 0.1, 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"
     CONFIGS = {
@@ -284,45 +283,24 @@ class TestSweepPoolAndSeed:
         "threshold": TWO_CELLS,
     }
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Pretend the affinity mask holds 4 CPUs and replace the pool that
-        `spectral.process_map` builds: record its worker count, start no
-        process, and map the cells in this process."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
     def run(self, tmp_path, sub, text, *flags):
         cfgfile = tmp_path / f"{sub}.cfg"
         cfgfile.write_text(text)
-        return main([sub, "--config", str(cfgfile), "--out", str(tmp_path / "o"), *flags])
+        try:
+            return main([sub, "--config", str(cfgfile), "--out", str(tmp_path / "o"), *flags])
+        except SystemExit as exc:  # an argparse usage error
+            return exc.code
 
-    def test_pool_is_bounded_by_the_cell_count(self, tmp_path, pool_sizes):
-        assert self.run(tmp_path, "threshold", self.TWO_CELLS,
-                        "--jobs", "5000") in (EXIT_OK, EXIT_RESOLUTION)
-        assert pool_sizes == [2]
+    def test_pool_is_bounded_by_the_cell_count(self, tmp_path, set_cpus, forks):
+        set_cpus(4)
+        assert self.run(tmp_path, "threshold", self.TWO_CELLS) in (EXIT_OK, EXIT_RESOLUTION)
+        assert len(forks) == 1  # two processes: this one and one child
 
-    def test_one_cell_runs_without_a_pool(self, tmp_path, pool_sizes):
+    def test_one_cell_runs_without_a_pool(self, tmp_path, set_cpus, forks):
+        set_cpus(4)
         one_cell = "nu = 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"
-        assert self.run(tmp_path, "threshold", one_cell,
-                        "--jobs", "8") in (EXIT_OK, EXIT_RESOLUTION)
-        assert pool_sizes == []
+        assert self.run(tmp_path, "threshold", one_cell) in (EXIT_OK, EXIT_RESOLUTION)
+        assert forks == []
 
     @pytest.mark.parametrize("sub", ["evolve", "dns", "threshold"])
     @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-2"),
@@ -330,7 +308,8 @@ class TestSweepPoolAndSeed:
     def test_out_of_range_flag_is_a_config_error(self, tmp_path, capsys, sub, flag, value):
         assert self.run(tmp_path, sub, self.CONFIGS[sub], flag, value) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and flag in err
+        assert {"--seed": "configuration error: --seed",
+                "--jobs": "error: unrecognized arguments: --jobs"}[flag] in err
         assert not (tmp_path / "o").exists()
 
     def test_largest_seed_runs(self, tmp_path):
@@ -338,8 +317,8 @@ class TestSweepPoolAndSeed:
                         "--seed", str(2**64 - 1)) == EXIT_OK
 
     def test_threshold_payload_is_the_sweep_record(self, tmp_path):
-        assert self.run(tmp_path, "threshold", self.TWO_CELLS, "--seed", "4",
-                        "--jobs", "2") in (EXIT_OK, EXIT_RESOLUTION)
+        assert self.run(tmp_path, "threshold", self.TWO_CELLS,
+                        "--seed", "4") in (EXIT_OK, EXIT_RESOLUTION)
         doc = json.loads((tmp_path / "o" / "threshold_report.json").read_text())
         tmap = run_threshold_sweep([0.05, 0.1], [0.0],
                                    {"k_f": 0.5, "n": (16, 16, 16), "seed": 4})
@@ -471,3 +450,47 @@ class TestDegenerateConfigs:
         assert self.run(tmp_path, sub, text) == EXIT_RANGE
         assert f"key {key!r} wants at least one value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, text, line", [
+        ("psi", "nu = nan\ngamma = 0.4\nk1 = 1\nk3 = 0\nk_f = 1\nn = 64\n", 1),
+        ("dns", "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = inf\n", 5),
+        ("evolve", TestSweepPoolAndSeed.CONFIGS["evolve"].replace("t_end = 12", "t_end = inf"),
+         7),
+        ("threshold", "nu = 0.2, nan\nepsilon = 0\n", 1),
+        ("threshold", "nu = 0.2\nepsilon = 0, -inf\n", 2),
+    ])
+    def test_non_finite_value_is_a_range_error(self, tmp_path, capsys, sub, text, line):
+        assert self.run(tmp_path, sub, text) == EXIT_RANGE
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_key_set_twice_is_a_config_error(self, tmp_path, capsys):
+        text = "nu = 0.05\nepsilon = 0\nnu = 0.1\n"
+        assert self.run(tmp_path, "threshold", text) == EXIT_CONFIG
+        assert "line 3: key 'nu' is already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["o", "o/sub"])
+    def test_out_naming_a_file_is_refused_before_running(self, tmp_path, capsys,
+                                                         monkeypatch, out):
+        monkeypatch.setitem(RUNNERS, "threshold", lambda cfg: pytest.fail("runner ran"))
+        (tmp_path / "o").write_text("keep me\n")
+        cfgfile = tmp_path / "thr.cfg"
+        cfgfile.write_text(TestSweepPoolAndSeed.TWO_CELLS)
+        code = main(["threshold", "--config", str(cfgfile), "--out", str(tmp_path / out)])
+        assert code == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+        assert (tmp_path / "o").read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_waveop_node_error_keeps_its_type(self, tmp_path, capsys, set_cpus, forks,
+                                              assert_no_children, cpus):
+        # every c-node raises ConfigurationError in solve_phi1, in this
+        # process and in the forked child alike
+        set_cpus(cpus)
+        assert self.run(tmp_path, "waveop", "alpha = 0.5\nlevels = 64\n") == EXIT_CONFIG
+        assert "wave operators are built for alpha > 1" in capsys.readouterr().err
+        assert len(forks) == cpus - 1
+        assert not (tmp_path / "o").exists()
+        assert_no_children()

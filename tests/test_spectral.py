@@ -1,12 +1,11 @@
 """Operator assembly: collocation oracles, band structure, accretivity;
 the package's one worker pool."""
 
-import concurrent.futures.process
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -471,61 +470,103 @@ def _pid_and_square(x):
     return os.getpid(), x * x
 
 
+def _slow_pid_and_square(x):
+    time.sleep(0.01)  # long enough for a forked child to claim items too
+    return os.getpid(), x * x
+
+
+class ItemError(Exception):
+    """Raised by an item, to check that its type reaches the caller."""
+
+
 ONE_WORKER_PROBE = """
 import json, os, sys
 from kolmoflow.spectral import process_map
-f = lambda x: (os.getpid(), x)  # a pool would have to pickle it
-out = process_map(f, range(5), cap=1) + process_map(f, [5])
-print(json.dumps({"pids": sorted({p for p, _ in out}), "me": os.getpid(),
-                  "order": [x for _, x in out], "mp": "multiprocessing" in sys.modules}))
+f = lambda x: (os.getpid(), x)
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+out = process_map(f, range(5))
+os.sched_getaffinity = lambda pid: {0, 1}
+out += process_map(f, [5]) + process_map(f, range(6, 9))
+print(json.dumps({"pids": sorted({p for p, _ in out[:6]}), "me": os.getpid(),
+                  "order": [x for _, x in out],
+                  "mp": "multiprocessing" in sys.modules}))
 """
 
 
 class TestProcessMap:
-    """`process_map` runs on a fork pool of min(cap, CPUs in the affinity
-    mask, items) workers, and in the caller's process when that is one."""
+    """`process_map` fans out over min(CPUs in the affinity mask, items)
+    processes, the caller and the children it forks, and maps in the
+    caller alone when that is one."""
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """(workers, start method) of every pool `process_map` builds."""
-        made = []
-        real = concurrent.futures.process.ProcessPoolExecutor
-
-        class RecordingPool(real):
-            def __init__(self, max_workers, mp_context=None):
-                made.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context)
-
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-        return made
-
-    @staticmethod
-    def set_cpus(monkeypatch, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-
-    def test_pool_keeps_order_and_leaves_no_children(self, monkeypatch, pools):
-        self.set_cpus(monkeypatch, 2)
-        out = process_map(_pid_and_square, range(12))
+    def test_pool_keeps_order_and_leaves_no_children(self, set_cpus, forks,
+                                                     assert_no_children):
+        set_cpus(2)
+        out = process_map(_slow_pid_and_square, range(12))
         assert [sq for _, sq in out] == [x * x for x in range(12)]
-        assert os.getpid() not in {pid for pid, _ in out}
-        assert pools == [(2, "fork")]
-        assert multiprocessing.active_children() == []
+        assert out[0][0] == os.getpid()  # the caller runs item 0
+        assert len(forks) == 1
+        assert {pid for pid, _ in out} == {os.getpid(), *forks}
+        assert_no_children()
 
-    @pytest.mark.parametrize("cap, cpus, items, workers", [
-        (8, 2, 12, 2),      # the affinity mask bounds a large cap
-        (None, 3, 2, 2),    # the items bound the CPUs
-        (2, 3, 12, 2),      # the cap bounds the CPUs
-        (1, 4, 12, None),   # one worker: no pool
-        (None, 1, 12, None),
-        (None, 3, 1, None),
+    @pytest.mark.parametrize("cpus, items, workers", [
+        (2, 12, 2),
+        (4, 12, 4),
+        (3, 2, 2),     # the items bound the CPUs
+        (1, 12, 1),    # one worker: no fork
+        (3, 1, 1),
+        (3, 0, 1),
     ])
-    def test_worker_count_is_min_of_cap_cpus_items(self, monkeypatch, pools, cap, cpus,
-                                                   items, workers):
-        self.set_cpus(monkeypatch, cpus)
-        out = process_map(_pid_and_square, range(items), cap=cap)
+    def test_worker_count_is_min_of_cpus_and_items(self, set_cpus, forks, cpus, items,
+                                                   workers):
+        set_cpus(cpus)
+        out = process_map(_pid_and_square, range(items))
         assert [sq for _, sq in out] == [x * x for x in range(items)]
-        assert pools == ([] if workers is None else [(workers, "fork")])
+        assert len(forks) == workers - 1
+
+    def test_more_items_than_a_default_pipe_holds(self, set_cpus):
+        set_cpus(2)
+        n = 20_000  # 80 kB of index records, above the 64 kB default pipe size
+        assert process_map(abs, range(-n, 0)) == list(range(n, 0, -1))
+
+    def test_call_inside_an_item_runs_in_its_process(self, set_cpus, forks):
+        set_cpus(2)
+        out = process_map(lambda x: {p for p, _ in process_map(_slow_pid_and_square,
+                                                               range(4))}, range(6))
+        assert len(forks) == 1
+        assert all(len(pids) == 1 for pids in out)
+
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_exception_keeps_its_type_and_leaves_no_children(self, set_cpus, forks,
+                                                             assert_no_children, where):
+        set_cpus(3)
+        caller = os.getpid()
+
+        def item(x):
+            in_caller = os.getpid() == caller
+            if in_caller == (where == "caller"):
+                raise ItemError(f"item {x} raised in the {where}")
+            time.sleep(0.05)  # leaves the other side time to claim an item
+            return x
+
+        with pytest.raises(ItemError, match=f"raised in the {where}"):
+            process_map(item, range(8))
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_child_that_dies_without_a_result_is_an_error(self, set_cpus,
+                                                         assert_no_children):
+        set_cpus(2)
+        caller = os.getpid()
+
+        def item(x):
+            if os.getpid() != caller:
+                os._exit(7)
+            time.sleep(0.05)
+            return x
+
+        with pytest.raises(ChildProcessError, match="status 7"):
+            process_map(item, range(4))
+        assert_no_children()
 
     def test_one_worker_runs_in_the_caller_without_multiprocessing(self):
         src = str(Path(kolmoflow.__file__).resolve().parents[1])
@@ -535,5 +576,5 @@ class TestProcessMap:
                               capture_output=True, text=True, timeout=120, check=True)
         out = json.loads(proc.stdout.strip().splitlines()[-1])
         assert out["pids"] == [out["me"]]
-        assert out["order"] == list(range(6))
+        assert out["order"] == list(range(9))
         assert not out["mp"]

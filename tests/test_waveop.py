@@ -1,7 +1,5 @@
 """Wave operators: profiles, coefficients, exchange identities, bounds."""
 
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -52,8 +50,8 @@ def radau_phi1(c, alpha, y):
 
 
 def count_solves(monkeypatch):
-    """The c of every solve_phi1 call made in this process (forked pool
-    workers count in their own copy)."""
+    """The c of every solve_phi1 call made in this process (forked children
+    count in their own copy)."""
     calls = []
     real = waveop.solve_phi1
 
@@ -63,11 +61,6 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(waveop, "solve_phi1", counting)
     return calls
-
-
-def set_cpus(monkeypatch, cpus):
-    """Pretend the affinity mask holds `cpus` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def smooth_mode_data(grid, rng, kmax=4):
@@ -268,8 +261,8 @@ class TestCoarseLevels:
     """get_wave_operator cuts coarse levels from a finer cached table."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        set_cpus(monkeypatch, 1)  # serial builds, so that every solve counts
+    def solves(self, monkeypatch, set_cpus):
+        set_cpus(1)  # serial builds, so that every solve counts
         monkeypatch.setattr(waveop, "_OPERATOR_CACHE", {})
         return count_solves(monkeypatch)
 
@@ -296,19 +289,23 @@ class TestCoarseLevels:
 
 
 class TestNodePool:
-    """A build solves its c-nodes through `spectral.process_map`: on a fork
-    pool of one worker per CPU in the affinity mask, and in this process on
-    one CPU. The tables are the same bits either way."""
+    """A build solves its c-nodes through `spectral.process_map`: in this
+    process and one forked child per further CPU in the affinity mask, and
+    in this process alone on one CPU. The tables are the same bits either way."""
 
     @pytest.mark.parametrize("alpha, n", [(2.0, 128), (16.0, 64)])
-    def test_pool_build_equals_serial_build(self, monkeypatch, alpha, n):
+    def test_pool_build_equals_serial_build(self, monkeypatch, set_cpus, forks,
+                                            assert_no_children, alpha, n):
         solves = count_solves(monkeypatch)
-        set_cpus(monkeypatch, 3)
+        set_cpus(3)
         pooled = WaveOperator(alpha, n)
-        assert solves == []  # every node was solved in a worker
-        assert multiprocessing.active_children() == []
-        set_cpus(monkeypatch, 1)
+        assert len(forks) == 2
+        assert solves[0] == float(-np.cos(pooled.y_c[0]))  # the builder solves node 0
+        assert_no_children()
+        set_cpus(1)
+        solves.clear()
         serial = WaveOperator(alpha, n)
+        assert len(forks) == 2  # no further fork
         assert len(solves) == len(serial.y_c) > 0
         assert np.array_equal(pooled.phi1_table, serial.phi1_table)
         assert pooled.coeff.keys() == serial.coeff.keys()

@@ -6,7 +6,9 @@
 Each run is one CLI subcommand on a small fixed configuration, the one
 tests/test_cli.py uses where it has one, with seed 0. A run is named after
 its subcommand, with a suffix where one subcommand has several runs: `psi`,
-`psi-L` and `psi-Q1L` cover the three operator selectors. The script makes
+`psi-L` and `psi-Q1L` cover the three operator selectors, and `dns-eps`
+and `threshold-eps` step a nonzero perturbation where `dns` and
+`threshold` start from the base flow itself. The script makes
 the named runs (all of them by default) and prints one `name sha256` line
 per report payload section (canonical JSON, as `cli.payload_bytes` writes
 it) and per CSV body (the table without its envelope line). The envelope is
@@ -54,7 +56,10 @@ RUNS = {
     "alpha1": ("alpha1", "nu = 0.01\ngamma = 0.1, 0.4\nn = 64\n"),
     "waveop": ("waveop", "alpha = 2\nlevels = 64, 128\n"),
     "dns": ("dns", "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = 0\nt_end = 1\n"),
+    "dns-eps": ("dns", "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = 1e-3\n"
+                       "t_end = 1\n"),
     "threshold": ("threshold", "nu = 0.1, 0.05\nepsilon = 0\nk_f = 0.5\nn = 16\n"),
+    "threshold-eps": ("threshold", "nu = 0.4, 0.2\nepsilon = 0, 0.001\nk_f = 0.5\nn = 16\n"),
 }
 
 
