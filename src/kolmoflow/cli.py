@@ -6,9 +6,10 @@ flat dotted names documented per subcommand in SCHEMAS. Unknown keys,
 type mismatches and range violations (a list key left empty counts as one,
 unless its default is the empty list, and so does a nan or inf value) are
 rejected with line numbers and distinct exit codes (10/11/12); other
-configuration problems exit 2, among them a key set on two lines, a
-`--seed` outside [0, 2**64) and an `--out` that names an existing file.
-Verdict failures exit 1, numerical-resolution flags exit 3.
+configuration problems exit 2, among them a key set on two lines, a list
+value given twice, a `--seed` outside [0, 2**64), a `--seed` given to a
+subcommand that draws nothing from it and an `--out` that names an existing
+file. Verdict failures exit 1, numerical-resolution flags exit 3.
 
 Subcommands that fan out (`threshold` over its sweep cells, `waveop` over
 wave-operator c-nodes) do so through `spectral.process_map`, over every
@@ -55,6 +56,7 @@ EXIT_RANGE = 12
 
 SUBCOMMANDS = ("psi", "resolvent-sweep", "pseudospectrum", "evolve", "alpha1",
                "waveop", "dns", "threshold", "all-acceptance", "check-report")
+SEEDED = ("evolve", "dns", "threshold")   # the subcommands that draw from --seed
 
 
 class ConfigError(Exception):
@@ -64,10 +66,10 @@ class ConfigError(Exception):
 
 
 def _typ(name, kind, default=None, required=False, lo=None, hi=None,
-         choices=None, lo_strict=False, hi_strict=False):
+         choices=None, lo_strict=False, hi_strict=False, item=float):
     return {"name": name, "kind": kind, "default": default, "required": required,
             "lo": lo, "hi": hi, "choices": choices,
-            "lo_strict": lo_strict, "hi_strict": hi_strict}
+            "lo_strict": lo_strict, "hi_strict": hi_strict, "item": item}
 
 
 _MODE_KEYS = [
@@ -111,7 +113,7 @@ SCHEMAS: dict[str, list[dict]] = {
     ],
     "waveop": [
         _typ("alpha", list, default=[2.0, 4.0, 8.0, 16.0]),
-        _typ("levels", list, default=[256, 512, 1024]),
+        _typ("levels", list, default=[256, 512, 1024], item=int),
         _typ("ensemble", int, default=20, lo=20),
     ],
     "dns": [
@@ -187,9 +189,10 @@ def parse_config(text: str, subcommand: str) -> dict:
         ent = schema[key]
         if ent["kind"] is list:
             vals = [_parse_scalar(v) for v in raw.split(",") if v.strip()]
-            if not all(isinstance(v, (int, float)) for v in vals):
-                raise ConfigError(
-                    f"line {lineno}: key {key!r} wants a numeric list", EXIT_TYPE)
+            if not all(isinstance(v, int if ent["item"] is int else (int, float))
+                       for v in vals):
+                raise ConfigError(f"line {lineno}: key {key!r} wants "
+                                  f"{ent['item'].__name__} values, got {raw!r}", EXIT_TYPE)
             if not vals and ent["default"] != []:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} wants at least one value", EXIT_RANGE)
@@ -197,7 +200,10 @@ def parse_config(text: str, subcommand: str) -> dict:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} wants finite values, got {raw!r}",
                     EXIT_RANGE)
-            values[key] = [float(v) for v in vals]
+            if len(set(vals)) < len(vals):
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} repeats a value, got {raw!r}", EXIT_CONFIG)
+            values[key] = [ent["item"](v) for v in vals]
             continue
         val = _parse_scalar(raw)
         if ent["kind"] is int:
@@ -351,6 +357,7 @@ def _mode_params(v: dict) -> ModeParams:
 
 
 def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
+    from . import acceptance
     from . import pseudospectra as ps
     v = cfg.values
     p = _mode_params(v)
@@ -363,24 +370,25 @@ def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
         record["flags"].append("grid inadequate: n < 8/delta")
     payload = {"psi": record, "scan": table}
     tables = {"psi_scan.csv": (["lam", "sigma_min"], zip(res.lam_grid, res.sigma_grid))}
-    return payload, res.psi > 0, not (res.converged and adequate), tables
+    passed = acceptance.positive_check("Psi", res.psi)["passed"]
+    return payload, passed, not (res.converged and adequate), tables
 
 
 def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
+    from . import acceptance
     from . import pseudospectra as ps
     v = cfg.values
     betas = v["beta"] or None
     c_hat, rows = ps.resolvent_bound_sweep(
         v["kind"], v["nu"], v["alpha"], v["lambda"], betas=betas)
-    flagged = [r for r in rows if r.get("flag")]
     payload = {"C_hat": c_hat.as_record(),
                "rows": [{k: _jsonable(val) for k, val in r.items()} for r in rows]}
-    good = [r for r in rows if not r.get("flag")]
-    passed = c_hat.value > 0 and c_hat.decade_ratio <= 3.0 and \
-        all(r["ratio"] > 0 for r in good)
+    checks = [acceptance.positive_check("C_hat", c_hat.value),
+              *acceptance.resolvent_checks(v["kind"], c_hat)]
+    passed = all(c["passed"] for c in checks)
     tables = {"resolvent_sweep.csv": (
         SWEEP_COLUMNS, [[r.get(c) for c in SWEEP_COLUMNS] for r in rows])}
-    return payload, passed, bool(flagged), tables
+    return payload, passed, len(c_hat.sweep) < len(rows), tables
 
 
 def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
@@ -400,6 +408,7 @@ def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
 
 
 def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
+    from . import acceptance
     from . import evolution as ev
     v = cfg.values
     p = _mode_params(v)
@@ -419,10 +428,12 @@ def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
         ["t", "norm_f", "norm_g", "norm_q1f", "norm_p1f", "norm_dyf"],
         zip(traj.times, traj.norm_f, traj.norm_g, traj.norm_q1f,
             traj.norm_p1f, traj.norm_dyf))}
-    return payload, fit_f.rate >= p.nu * kappa2, False, tables
+    passed = acceptance.rate_floor_check("f rate", fit_f.rate, p.nu * kappa2)["passed"]
+    return payload, passed, False, tables
 
 
 def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
+    from . import acceptance
     from . import evolution as ev
     v = cfg.values
     rows = []
@@ -432,19 +443,19 @@ def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
                                   t_end=3.0 / nu, dt=3.0 / nu / 400.0)
             rows.append({k: _jsonable(val) for k, val in out.items()
                          if k not in ("times", "norm_q1f", "norm_p1f")})
-    passed = all(r["conservation_drift"] <= 1e-8 and r["lowerb_ratio"] > 0
-                 and r["q1_rate"] >= r["nu"] for r in rows)
+    passed = all(c["passed"] for r in rows for c in (
+        acceptance.conservation_check(r["conservation_drift"]),
+        acceptance.positive_check("LowerB ratio", r["lowerb_ratio"]),
+        acceptance.rate_floor_check("Q1 rate", r["q1_rate"], r["nu"])))
     return {"rows": rows}, passed, False, {}
 
 
 def _run_waveop(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import waveop as wv
     v = cfg.values
-    levels = [int(x) for x in v["levels"]]
     inter = wv.intertwining_residual(
-        {"sin2y": lambda y: np.sin(2 * y)}, float(v["alpha"][0]), levels)
-    bounds = wv.bound_sweep([float(a) for a in v["alpha"]],
-                            ensemble=int(v["ensemble"]))
+        {"sin2y": lambda y: np.sin(2 * y)}, v["alpha"][0], v["levels"])
+    bounds = wv.bound_sweep(v["alpha"], ensemble=v["ensemble"])
     payload = {"intertwining": _jsonable(inter["rows"]),
                "bound_stability": _jsonable(bounds["stability"])}
     return payload, inter["passed"] and bounds["passed"], False, {}
@@ -531,7 +542,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="plain-text key=value configuration file")
     ap.add_argument("--out", type=Path, default=Path("out"),
                     help="output directory for reports and CSV tables")
-    ap.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64)")
+    ap.add_argument("--seed", type=int, help="RNG seed in [0, 2**64), default 0; "
+                    f"{', '.join(SEEDED)} only")
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")
     args = ap.parse_args(argv)
@@ -553,8 +565,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
+        if args.seed is not None and args.subcommand not in SEEDED:
+            raise ConfigError(f"--seed: {args.subcommand} draws nothing from a seed")
+        seed = args.seed or 0
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"--seed must lie in [0, 2**64), got {seed}")
         if args.config is not None:
             if not args.config.exists():
                 raise ConfigError(f"config file {args.config} does not exist")
@@ -562,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             values = parse_config("", args.subcommand)
         return run_subcommand(RunConfig(subcommand=args.subcommand, values=values,
-                                        out_dir=args.out, seed=args.seed))
+                                        out_dir=args.out, seed=seed))
     except (ConfigError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_CONFIG)

@@ -381,26 +381,18 @@ def energy_identity_residual(traj: Trajectory) -> dict:
         + nu k_f^2 ((alpha^2-1)||f||^2 + ||d_y f||^2) = 0
     exactly; the reported residual is the 4th-order finite-difference
     derivative mismatch, which converges at 4th order in the sample spacing.
-    Cumulative dissipation ratios are reported alongside; the weight of
-    est4 uses c' = (a - nu kappa^2) / (2 sqrt|k1 gamma|) from the fitted
-    rate a, floored at 0, so k1*gamma = 0 raises ConfigurationError.
     """
     if traj.f_states is None:
         raise ConfigurationError("energy identity needs stored states")
     p, grid = traj.params, traj.grid
     if p.alpha <= 1.0:
         raise ConfigurationError("energy identity path assumes alpha > 1")
-    if p.k1 * p.gamma == 0.0:
-        raise ConfigurationError(
-            "the est4 weight c' divides by sqrt|k1*gamma|, which is 0 with "
-            "k1 = 0 or gamma = 0")
     n = grid.wavenumbers
     hinv = 1.0 / (p.alpha**2 + n**2)
     t = traj.times
     h = t[1] - t[0]
     q = np.empty(len(t))
     d = np.empty(len(t))
-    e2_integrand = np.empty(len(t))
     for i, f in enumerate(traj.f_states):
         phi = hinv * f
         nf2 = grid.norm_coeffs(f) ** 2
@@ -409,42 +401,13 @@ def energy_identity_residual(traj: Trajectory) -> dict:
         ndf2 = grid.norm_coeffs(1j * n * f) ** 2
         q[i] = nf2 - p.alpha**2 * nphi2 - ndphi2
         d[i] = p.nu * p.k_f**2 * ((p.alpha**2 - 1.0) * nf2 + ndf2)
-        e2_integrand[i] = p.nu * p.k_f**2 * (p.beta**2 * nf2 + ndf2)
     if len(t) < 7:
-        return {"residuals": np.array([]), "max_rel_residual": np.inf,
-                "reliable": False, "cumulative": {}}
+        return {"residuals": np.array([]), "max_rel_residual": np.inf}
     # 4th-order central derivative on the interior
     dq = (q[:-4] - 8 * q[1:-3] + 8 * q[3:-1] - q[4:]) / (12 * h)
     res = 0.5 * dq + d[2:-2]
     scale = max(d.max(), 1e-300)
-    try:
-        fit = fit_decay_rate(traj, "f", t_min=0.0)
-    except ConfigurationError:
-        fit = None
-    cumulative = {
-        "est2_ratio": float(np.trapezoid(e2_integrand, t)
-                            / max(traj.norm_f[0] ** 2, 1e-300)),
-    }
-    if fit is not None:
-        a = fit.rate
-        w3 = np.exp(2 * a * t)
-        cumulative["est3_ratio"] = float(
-            np.trapezoid(w3 * e2_integrand, t)
-            / ((1 + a * t[-1]) * max(traj.norm_f[0] ** 2, 1e-300)))
-        c_prime = 0.5 * max(a - p.nu * (p.k1**2 + p.k3**2), 0.0) / np.sqrt(
-            abs(p.k1 * p.gamma))
-        w4 = np.exp(2 * c_prime * np.sqrt(abs(p.k1 * p.gamma)) * t)
-        alt = p.nu * p.k_f**2 * (p.alpha**2 * traj.norm_f**2 + traj.norm_dyf**2)
-        cumulative["est4_ratio"] = float(
-            np.trapezoid(w4 * alt, t) / max(traj.norm_f[0] ** 2, 1e-300))
-        cumulative["c_prime"] = float(c_prime)
-    reliable = len(t) >= 7 and h * (d.max() / max(q[0], 1e-300)) < 0.5
-    return {
-        "residuals": res,
-        "max_rel_residual": float(np.max(np.abs(res)) / scale),
-        "reliable": bool(reliable),
-        "cumulative": cumulative,
-    }
+    return {"residuals": res, "max_rel_residual": float(np.max(np.abs(res)) / scale)}
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,4 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         fit_pref = fit_decay_rate(synth, "g", prefactor=True)
         out["g1_fit_pure_residual"] = fit_pure.residual
         out["g1_fit_prefactor_residual"] = fit_pref.residual
-        out["g1_rate"] = fit_pure.rate
-        out["g1_prefers_pure"] = bool(fit_pure.residual <= fit_pref.residual)
     return out

@@ -3,106 +3,122 @@
 One test per criterion; each prints its own pass/fail line (run pytest with
 -s or check the summary). The heavy sweeps make this module the slow part
 of the suite; everything is still plain pytest and runs in one process.
+
+BOUNDS pins every sub-check of every criterion: its name, its comparison
+and its bound, so a loosened or dropped check fails here. A bound computed
+from the run is given as a function of the criterion's `details`. A check
+whose rule lives in another layer names that function as its op and has no
+bound; it carries the layer's verdict.
 """
 
+import math
+import operator
+
 import numpy as np
-import pytest
 
 from kolmoflow import acceptance as acc
 
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+       "==": operator.eq, "finite": lambda value, _: math.isfinite(value)}
 
-def _run(fn, **kw):
-    rec = fn(**kw)
+SEMIGROUP = "evolution.semigroup_norm_curve"
+
+BOUNDS = {
+    1: [(f"{kind} {name}", op, bound) for kind in ("Nlambda", "Llambda", "Lu-form")
+        for name, op, bound in (("least ratio", ">", 0), ("decade ratio", "<=", 3.0))],
+    2: [(f"{which} {name}", op, bound) for which in ("H", "L", "Q1L")
+        for name, op, bound in (("c_hat", ">", 0), ("worst quadrupling drift", "<=", 2.0))],
+    3: [("ModeH semigroup margin", SEMIGROUP, None),
+        ("ModeL(star) semigroup margin", SEMIGROUP, None),
+        ("Q1ModeL(star) semigroup margin", SEMIGROUP, None)],
+    4: [("f rate gamma=0.1", ">=", 0.02),
+        ("f rate gamma=0.4", ">=", 0.02),
+        ("f rate surplus |r/2 - 1|", "<=", 0.25),
+        ("g envelope, trials 11-20", "<=", lambda d: 1.5 * d["g_envelope_C"])],
+    5: [("L4 conservation drift", "<=", 1e-8),
+        ("dissp residual ratio, dt 0.008/0.004", ">=", 10.0),
+        ("dissp residual ratio, dt 0.004/0.002", ">=", 10.0),
+        ("velocity recovery residual", "<=", 1e-12),
+        ("lift-up profile residual", "<=", 1e-12),
+        ("mean momentum drift", "<=", lambda d: 1e-10 * d["dns_t"])],
+    6: [("UpB2 stability", "<=", 3.0),
+        ("UpB1 stability", "<=", 3.0),
+        ("least LowerB ratio", ">", 0),
+        ("LowerB stability", "<=", 3.0),
+        ("P1 loss stability", "<=", 3.0),
+        *((f"Q1 rate nu={nu} gamma={gamma}", ">=", nu)
+          for nu in (0.01, 0.003) for gamma in (0.1, 0.3)),
+        ("Q1 surplus |r/2 - 1|", "<=", 0.25)],
+    7: [("intertwining", "waveop.intertwining_residual", None),
+        ("worst bound stability", "waveop.bound_sweep", None),
+        ("good-unknown residual n=256", "<=", 1e-2),
+        ("good-unknown residual n=256 vs n=128", "<",
+         lambda d: d["good_unknown_residuals"][128]),
+        ("g1 pure-exponential fit residual", "<=",
+         lambda d: d["g1_fit_prefactor_residual"])],
+    8: [("homogeneous rate gamma=0.1, |forced/evolve - 1|", "<=", 0.05),
+        ("homogeneous X norm gamma=0.1", "finite", None),
+        ("homogeneous rate gamma=0.4, |forced/evolve - 1|", "<=", 0.05),
+        ("homogeneous X norm gamma=0.4", "finite", None),
+        ("C fit stability max(r, 1/r)", "<=", 3.0)],
+    9: [("32^3 seed-1 outcome", "==", "decayed"),
+        ("32^3 seed-1 decay rate", ">=", lambda d: d["c_prime"] * np.sqrt(0.05)),
+        ("32^3 seed-1 M0/V0", "<=", 50.0),
+        ("32^3 seed-1 M0", "finite", None),
+        ("16^3 seed-2 outcome", "==", "decayed"),
+        ("eps* monotone in nu", "dns.ThresholdMap.monotone_in_nu", None)],
+}
+
+
+def _run(number):
+    rec = acc.ALL_CRITERIA[number - 1]()
     print(f"\n[{'PASS' if rec['passed'] else 'FAIL'}] {rec['name']}")
+    checks = rec["details"]["checks"]
+    assert [(c["name"], c["op"]) for c in checks] == \
+        [(name, op) for name, op, _ in BOUNDS[number]]
+    for c, (_, _, bound) in zip(checks, BOUNDS[number]):
+        assert set(c) == {"name", "value", "op", "bound", "passed"}
+        assert c["bound"] == (bound(rec["details"]) if callable(bound) else bound), c
+        if c["op"] in OPS:
+            assert c["passed"] == bool(OPS[c["op"]](c["value"], c["bound"])), c
+    assert rec["passed"] == all(c["passed"] for c in checks)
+    assert rec["passed"], [c for c in checks if not c["passed"]]
     return rec
 
 
 def test_criterion_1_resolvent_lower_bounds():
-    rec = _run(acc.criterion_resolvent_bounds)
-    for kind, d in rec["details"].items():
-        assert d["all_positive"], (kind, d)
-        assert d["decade_ratio"] <= 3.0, (kind, d)
-        assert d["C_hat"] > 0, (kind, d)
-    assert rec["passed"]
+    _run(1)
 
 
 def test_criterion_2_psi_scaling():
-    rec = _run(acc.criterion_psi_scaling)
-    for which, d in rec["details"].items():
-        assert d["c_hat"] > 0, (which, d)
-        assert d["worst_quadrupling_drift"] <= 2.0, (which, d)
-    assert rec["passed"]
+    _run(2)
 
 
 def test_criterion_3_gearhart_pruss():
-    rec = _run(acc.criterion_gearhart_pruss)
-    for name, d in rec["details"].items():
-        assert d["verdict"], (name, d)
-    assert rec["passed"]
+    _run(3)
 
 
 def test_criterion_4_channel_structure():
-    rec = _run(acc.criterion_channel_structure)
-    d = rec["details"]
-    assert d["floor_ok"], d
-    assert d["scaling_ok"], d
-    assert d["envelope_ok"], d
-    assert abs(d["surplus_ratio"] / 2.0 - 1.0) <= 0.25
-    assert rec["passed"]
+    _run(4)
 
 
 def test_criterion_5_exact_identities():
-    rec = _run(acc.criterion_exact_identities)
-    d = rec["details"]
-    assert d["l4_drift"] <= 1e-8
-    res = d["dissp_residuals"]
-    assert res[0] / res[1] >= 10.0 and res[1] / res[2] >= 10.0
-    assert d["recovery"] <= 1e-12
-    assert d["liftup"] <= 1e-12
-    assert d["momentum_drift_per_t"] <= 1e-10
-    assert rec["passed"]
+    _run(5)
 
 
 def test_criterion_6_alpha1_bounds():
-    rec = _run(acc.criterion_alpha1_bounds)
-    d = rec["details"]
-    assert d["upb2_stability"] <= 3.0
-    assert d["upb1_stability"] <= 3.0
-    assert d["lowerb_stability"] <= 3.0
-    assert d["p1_stability"] <= 3.0
-    assert all(v > 0 for v in d["lowerb_values"])
-    assert abs(d["q1_surplus_ratio"] / 2.0 - 1.0) <= 0.25
-    assert rec["passed"]
+    _run(6)
 
 
 def test_criterion_7_wave_operator():
-    rec = _run(acc.criterion_wave_operator)
-    d = rec["details"]
-    assert all(d["intertwining"].values()), d["intertwining"]
-    assert all(v <= 3.0 for v in d["bound_stability"].values()), d["bound_stability"]
-    assert d["good_unknown_residuals"][256] <= 1e-2
-    assert d["good_unknown_residuals"][256] < d["good_unknown_residuals"][128]
-    assert d["g1_fit"]["pure"] <= d["g1_fit"]["prefactor"]
-    assert rec["passed"]
+    _run(7)
 
 
 def test_criterion_8_forced_decay():
-    rec = _run(acc.criterion_forced_decay)
-    d = rec["details"]
-    r = d["stability_ratio"]
-    assert max(r, 1.0 / r) <= 3.0
-    for v in d["homogeneous"].values():
-        assert v["x_finite"]
-        assert abs(v["forced_path"] / v["evolve_path"] - 1.0) <= 0.05
-    assert rec["passed"]
+    _run(8)
 
 
 def test_criterion_9_dns_threshold():
-    rec = _run(acc.criterion_dns_threshold)
-    d = rec["details"]
-    assert d["rate"] >= d["rate_floor"]
-    assert np.isfinite(d["m0_over_v0"])
-    assert d["monotone"]
-    eps_stars = list(d["eps_star"].values())
+    rec = _run(9)
+    eps_stars = list(rec["details"]["eps_star"].values())
     assert all(b >= a for a, b in zip(eps_stars, eps_stars[1:]))
-    assert rec["passed"]

@@ -140,8 +140,7 @@ class TestEndToEnd:
         docs = []
         for run in ("a", "b"):
             out = tmp_path / run
-            assert main(["psi", "--config", str(cfgfile), "--out", str(out),
-                         "--seed", "7"]) == EXIT_OK
+            assert main(["psi", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
             doc = json.loads((out / "psi_report.json").read_text())
             docs.append(payload_bytes(doc["payload"]))
         assert docs[0] == docs[1]
@@ -312,6 +311,15 @@ class TestSweepPoolAndSeed:
                 "--jobs": "error: unrecognized arguments: --jobs"}[flag] in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sub", ["psi", "resolvent-sweep", "pseudospectrum", "alpha1",
+                                     "waveop", "all-acceptance"])
+    def test_seed_is_refused_where_nothing_is_drawn(self, tmp_path, capsys, monkeypatch,
+                                                    sub):
+        monkeypatch.setitem(RUNNERS, sub, lambda cfg: pytest.fail("runner ran"))
+        assert main([sub, "--out", str(tmp_path / "o"), "--seed", "0"]) == EXIT_CONFIG
+        assert f"--seed: {sub} draws nothing from a seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_largest_seed_runs(self, tmp_path):
         assert self.run(tmp_path, "dns", self.CONFIGS["dns"],
                         "--seed", str(2**64 - 1)) == EXIT_OK
@@ -463,6 +471,23 @@ class TestDegenerateConfigs:
         assert self.run(tmp_path, sub, text) == EXIT_RANGE
         err = capsys.readouterr().err
         assert f"line {line}: " in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, text, line, key", [
+        ("threshold", "nu = 0.1, 0.1\nepsilon = 0\n", 1, "nu"),
+        ("threshold", "nu = 0.1\nepsilon = 0, 0.0\n", 2, "epsilon"),
+        ("waveop", "alpha = 2\nlevels = 128, 64, 128\n", 2, "levels"),
+    ])
+    def test_repeated_list_value_is_a_config_error(self, tmp_path, capsys, sub, text,
+                                                   line, key):
+        assert self.run(tmp_path, sub, text) == EXIT_CONFIG
+        assert f"line {line}: key {key!r} repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("levels", ["64.7, 128", "64, 128.0"])
+    def test_waveop_fractional_level_is_a_type_error(self, tmp_path, capsys, levels):
+        assert self.run(tmp_path, "waveop", f"alpha = 2\nlevels = {levels}\n") == EXIT_TYPE
+        assert "line 2: key 'levels' wants int values" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_key_set_twice_is_a_config_error(self, tmp_path, capsys):

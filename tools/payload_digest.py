@@ -12,9 +12,11 @@ and `threshold-eps` step a nonzero perturbation where `dns` and
 the named runs (all of them by default) and prints one `name sha256` line
 per report payload section (canonical JSON, as `cli.payload_bytes` writes
 it) and per CSV body (the table without its envelope line). The envelope is
-left out: it holds the timestamp. `--acceptance` adds one line per
-criterion of `acceptance.run_all()` over its `details` record; that takes a
-few minutes.
+left out: it holds the timestamp. `--acceptance` adds three lines per
+criterion of `acceptance.ALL_CRITERIA`: its verdict, its `details` record,
+and its `bounds`, the (name, op, bound) triple of every sub-check in
+`details["checks"]`, so a changed comparison or bound shows on its own line.
+That takes a few minutes.
 
 The script imports kolmoflow from the `src/` directory of the checkout it
 sits in, so a copy of it in another checkout digests that checkout:
@@ -99,6 +101,8 @@ def acceptance_digests() -> list[tuple[str, str]]:
         print(f"criterion {i}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
         lines.append((f"acceptance.{i}.passed", sha256(str(rec["passed"]).encode())))
         lines.append((f"acceptance.{i}.details", sha256(cli.payload_bytes(rec["details"]))))
+        bounds = [(c["name"], c["op"], c["bound"]) for c in rec["details"]["checks"]]
+        lines.append((f"acceptance.{i}.bounds", sha256(cli.payload_bytes(bounds))))
     return lines
 
 
