@@ -13,6 +13,7 @@ public check builders.
 from __future__ import annotations
 
 import operator
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,16 +40,27 @@ def _record(title: str, checks: list[dict], **measured) -> dict:
             "details": {"checks": checks, **measured}}
 
 
-def positive_check(name: str, value) -> dict:
-    return _check(name, value, ">", 0)
-
-
-def rate_floor_check(name: str, rate, floor) -> dict:
-    return _check(name, rate, ">=", floor)
+def _ratio(num, den) -> float:
+    """num / den; a zero divisor gives inf or nan, which fails its check."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(num) / den)
 
 
 def conservation_check(drift) -> dict:
     return _check("L4 conservation drift", drift, "<=", 1e-8)
+
+
+def lowerb_check(name: str, ratio) -> dict:
+    return _check(name, ratio, ">", 0)
+
+
+def q1_rate_check(row: dict) -> dict:
+    return _check(f"Q1 rate nu={row['nu']} gamma={row['gamma']}", row["q1_rate"],
+                  ">=", row["nu"])
+
+
+def f_rate_floor_check(name: str, rate, params: ModeParams) -> dict:
+    return _check(name, rate, ">=", params.nu * (params.k1**2 + params.k3**2))
 
 
 def _stability_check(name: str, ratio) -> dict:
@@ -70,7 +82,9 @@ def _band_limited(grid, rng: np.random.Generator, k_max: int) -> np.ndarray:
 
 def resolvent_checks(kind: str, c_hat: ps.EmpiricalConstants) -> list[dict]:
     """Criterion 1's rule: adequately resolved ratios > 0, decade ratio <= 3."""
-    return [positive_check(f"{kind} least ratio", np.min([r["ratio"] for r in c_hat.sweep])),
+    # np.min, not c_hat.value: the builtin min behind it skips a later nan
+    return [_check(f"{kind} least ratio", np.min([r["ratio"] for r in c_hat.sweep]),
+                   ">", 0),
             _stability_check(f"{kind} decade ratio", c_hat.decade_ratio)]
 
 
@@ -111,9 +125,9 @@ def criterion_psi_scaling() -> dict:
         worst = 1.0
         for key, by_gamma in ratios.items():
             if 0.1 in by_gamma and 0.4 in by_gamma:
-                q = by_gamma[0.4] / by_gamma[0.1]
-                worst = max(worst, q, 1.0 / q)
-        checks += [positive_check(f"{which} c_hat", c_hat.value),
+                q = _ratio(by_gamma[0.4], by_gamma[0.1])
+                worst = max(worst, q, _ratio(1.0, q))
+        checks += [_check(f"{which} c_hat", c_hat.value, ">", 0),
                    _check(f"{which} worst quadrupling drift", worst, "<=", 2.0)]
     return _record("2 Psi scaling (sqrt-gamma, factor<=2 under 4x gamma)", checks)
 
@@ -167,10 +181,11 @@ def criterion_channel_structure() -> dict:
                 traj.norm_g[0] + (1 + a_env * traj.times) * traj.norm_f[0] / abs(p.k1))
             ratios.append(float(np.max(traj.norm_g / env)))
         a_fit[gamma], g_ratios[gamma] = rate_f, ratios   # rate_f of the last trial
-    nu_k2 = p.nu * (p.k1**2 + p.k3**2)   # the same at both gammas
-    surplus_ratio = (a_fit[0.4] - nu_k2) / (a_fit[0.1] - nu_k2)
+    floors = [f_rate_floor_check(f"f rate gamma={g}", a_fit[g], p) for g in (0.1, 0.4)]
+    nu_k2 = floors[0]["bound"]   # the same at both gammas
+    surplus_ratio = _ratio(a_fit[0.4] - nu_k2, a_fit[0.1] - nu_k2)
     c_hat = max(g_ratios[0.4][:10])
-    checks = [*(rate_floor_check(f"f rate gamma={g}", a_fit[g], nu_k2) for g in (0.1, 0.4)),
+    checks = [*floors,
               _sqrt_gamma_check("f rate surplus |r/2 - 1|", surplus_ratio),
               _check("g envelope, trials 11-20", np.max(g_ratios[0.4][10:]), "<=",
                      1.5 * c_hat)]
@@ -206,8 +221,8 @@ def criterion_exact_identities() -> dict:
     fr = tracker.frame(st)
     drift = max(abs(fr.a1 - f0r.a1), abs(fr.a2 - f0r.a2), abs(fr.a3 - f0r.a3))
     checks = [conservation_check(suite["conservation_drift"]),
-              _check("dissp residual ratio, dt 0.008/0.004", res[0] / res[1], ">=", 10.0),
-              _check("dissp residual ratio, dt 0.004/0.002", res[1] / res[2], ">=", 10.0),
+              _check("dissp residual ratio, dt 0.008/0.004", _ratio(res[0], res[1]), ">=", 10.0),
+              _check("dissp residual ratio, dt 0.004/0.002", _ratio(res[1], res[2]), ">=", 10.0),
               _check("velocity recovery residual",
                      max(f0r.recovery_residual, fr.recovery_residual), "<=", 1e-12),
               _check("lift-up profile residual",
@@ -226,22 +241,21 @@ def criterion_alpha1_bounds() -> dict:
             for nu in (0.01, 0.003) for beta in (0.1, 0.3)]
     def stab(key):
         vals = [r[key] for r in rows]
-        return max(vals) / min(vals)
+        return _ratio(max(vals), min(vals))
     # sqrt-gamma scaling of the Q1 surplus under gamma -> 4 gamma
     hi = ev.alpha1_suite(nu=0.01, gamma=0.4, k1=1, n=96, n_random=5,
                          t_end=300.0, dt=0.75)
     lo = ev.alpha1_suite(nu=0.01, gamma=0.1, k1=1, n=96, n_random=5,
                          t_end=300.0, dt=0.75)
-    surplus_ratio = hi["q1_rate_surplus"] / lo["q1_rate_surplus"]
+    surplus_ratio = _ratio(hi["q1_rate_surplus"], lo["q1_rate_surplus"])
     lowerb = [r["lowerb_ratio"] for r in rows]
     checks = [
         _stability_check("UpB2 stability", stab("upb2_ratio_max")),
         _stability_check("UpB1 stability", stab("upb1_ratio_max")),
-        positive_check("least LowerB ratio", np.min(lowerb)),
+        lowerb_check("least LowerB ratio", np.min(lowerb)),
         _stability_check("LowerB stability", stab("lowerb_ratio")),
         _stability_check("P1 loss stability", stab("p1_c_hat")),
-        *(rate_floor_check(f"Q1 rate nu={r['nu']} gamma={r['gamma']}", r["q1_rate"], r["nu"])
-          for r in rows),
+        *(q1_rate_check(r) for r in rows),
         _sqrt_gamma_check("Q1 surplus |r/2 - 1|", surplus_ratio),
     ]
     return _record(
@@ -315,22 +329,20 @@ def criterion_forced_decay() -> dict:
         hom = ev.forced_decay(p, ev.ForcingSpec(kind="zero"), t_end=t_end,
                               dt=t_end / 600.0, c_hat=c_hat, grid=grid, f0=f0,
                               c_prime=c_prime)
-        zeros = np.zeros_like(hom["times"])
-        synth = ev.Trajectory(times=hom["times"], norm_f=hom["norms"],
-                              norm_g=hom["norms"], norm_q1f=zeros, norm_p1f=zeros,
-                              norm_dyf=zeros, params=p, grid=grid)
         traj = ev.evolve_coupled(p, f0, np.zeros_like(f0), t_end, t_end / 600.0,
                                  grid=grid)
-        rates = {"forced_path": ev.fit_decay_rate(synth, "f").rate,
+        forced = replace(traj, norm_f=hom["norms"])   # same times, params and grid
+        rates = {"forced_path": ev.fit_decay_rate(forced, "f").rate,
                  "evolve_path": ev.fit_decay_rate(traj, "f").rate}
         hom_rates[gamma] = rates
         checks += [
             _check(f"homogeneous rate gamma={gamma}, |forced/evolve - 1|",
-                   abs(rates["forced_path"] / rates["evolve_path"] - 1.0), "<=", 0.05),
+                   abs(_ratio(rates["forced_path"], rates["evolve_path"]) - 1.0), "<=", 0.05),
             _check(f"homogeneous X norm gamma={gamma}", hom["x_norm_sq"], "finite", None),
         ]
-    ratio = c_fits[0.4] / c_fits[0.1]
-    checks.append(_stability_check("C fit stability max(r, 1/r)", max(ratio, 1.0 / ratio)))
+    ratio = _ratio(c_fits[0.4], c_fits[0.1])
+    checks.append(_stability_check("C fit stability max(r, 1/r)",
+                                   max(ratio, _ratio(1.0, ratio))))
     return _record("8 forced decay (X_{c'} verdicts, C stability, homogeneous limit)",
                    checks, c_hat_fits=c_fits, stability_ratio=ratio,
                    homogeneous=hom_rates)
@@ -356,7 +368,7 @@ def criterion_dns_threshold() -> dict:
     tmap = dns.run_threshold_sweep(nus, [0.0, 1e-3, 0.05, 0.3], {"k_f": 0.5, "n": (16, 16, 16)})
     checks = [
         _check("32^3 seed-1 outcome", main["outcome"], "==", "decayed"),
-        rate_floor_check("32^3 seed-1 decay rate", rate, c_prime * np.sqrt(cfg.gamma)),
+        _check("32^3 seed-1 decay rate", rate, ">=", c_prime * np.sqrt(cfg.gamma)),
         _check("32^3 seed-1 M0/V0", main["m0_over_v0"], "<=", 50.0),
         _check("32^3 seed-1 M0", main["m0"], "finite", None),
         _check("16^3 seed-2 outcome", rep["outcome"], "==", "decayed"),

@@ -357,7 +357,6 @@ def _mode_params(v: dict) -> ModeParams:
 
 
 def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
-    from . import acceptance
     from . import pseudospectra as ps
     v = cfg.values
     p = _mode_params(v)
@@ -370,8 +369,7 @@ def _run_psi(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
         record["flags"].append("grid inadequate: n < 8/delta")
     payload = {"psi": record, "scan": table}
     tables = {"psi_scan.csv": (["lam", "sigma_min"], zip(res.lam_grid, res.sigma_grid))}
-    passed = acceptance.positive_check("Psi", res.psi)["passed"]
-    return payload, passed, not (res.converged and adequate), tables
+    return payload, res.psi > 0, not (res.converged and adequate), tables
 
 
 def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
@@ -383,9 +381,7 @@ def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
         v["kind"], v["nu"], v["alpha"], v["lambda"], betas=betas)
     payload = {"C_hat": c_hat.as_record(),
                "rows": [{k: _jsonable(val) for k, val in r.items()} for r in rows]}
-    checks = [acceptance.positive_check("C_hat", c_hat.value),
-              *acceptance.resolvent_checks(v["kind"], c_hat)]
-    passed = all(c["passed"] for c in checks)
+    passed = all(c["passed"] for c in acceptance.resolvent_checks(v["kind"], c_hat))
     tables = {"resolvent_sweep.csv": (
         SWEEP_COLUMNS, [[r.get(c) for c in SWEEP_COLUMNS] for r in rows])}
     return payload, passed, len(c_hat.sweep) < len(rows), tables
@@ -421,15 +417,14 @@ def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     traj = ev.evolve_coupled(p, f0, g0, v["t_end"], v["dt"], grid=grid)
     fit_f = ev.fit_decay_rate(traj, "f")
     fit_g = ev.fit_decay_rate(traj, "g", prefactor=True)
-    kappa2 = p.k1**2 + p.k3**2
+    floor = acceptance.f_rate_floor_check("f rate", fit_f.rate, p)
     payload = {"fit_f": fit_f.as_record(), "fit_g": fit_g.as_record(),
-               "nu_kappa2": p.nu * kappa2}
+               "nu_kappa2": floor["bound"]}
     tables = {"trajectory.csv": (
         ["t", "norm_f", "norm_g", "norm_q1f", "norm_p1f", "norm_dyf"],
         zip(traj.times, traj.norm_f, traj.norm_g, traj.norm_q1f,
             traj.norm_p1f, traj.norm_dyf))}
-    passed = acceptance.rate_floor_check("f rate", fit_f.rate, p.nu * kappa2)["passed"]
-    return payload, passed, False, tables
+    return payload, floor["passed"], False, tables
 
 
 def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
@@ -445,8 +440,8 @@ def _run_alpha1(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
                          if k not in ("times", "norm_q1f", "norm_p1f")})
     passed = all(c["passed"] for r in rows for c in (
         acceptance.conservation_check(r["conservation_drift"]),
-        acceptance.positive_check("LowerB ratio", r["lowerb_ratio"]),
-        acceptance.rate_floor_check("Q1 rate", r["q1_rate"], r["nu"])))
+        acceptance.lowerb_check("LowerB ratio", r["lowerb_ratio"]),
+        acceptance.q1_rate_check(r)))
     return {"rows": rows}, passed, False, {}
 
 
@@ -547,6 +542,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--report", type=Path, default=None,
                     help="file to validate (check-report only)")
     args = ap.parse_args(argv)
+    if args.seed is not None and args.subcommand not in SEEDED:
+        print(f"configuration error: --seed: {args.subcommand} draws nothing from a seed",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.subcommand == "check-report":
         target = args.report or args.config
@@ -565,8 +564,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if args.seed is not None and args.subcommand not in SEEDED:
-            raise ConfigError(f"--seed: {args.subcommand} draws nothing from a seed")
         seed = args.seed or 0
         if not 0 <= seed < 2**64:
             raise ConfigError(f"--seed must lie in [0, 2**64), got {seed}")

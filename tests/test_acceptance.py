@@ -111,7 +111,9 @@ def test_criterion_6_alpha1_bounds():
 
 
 def test_criterion_7_wave_operator():
-    _run(7)
+    rec = _run(7)
+    # bound_sweep owns its rule; the criterion claims every stability <= 3
+    assert all(v <= 3.0 for v in rec["details"]["bound_stability"].values())
 
 
 def test_criterion_8_forced_decay():
@@ -122,3 +124,15 @@ def test_criterion_9_dns_threshold():
     rec = _run(9)
     eps_stars = list(rec["details"]["eps_star"].values())
     assert all(b >= a for a, b in zip(eps_stars, eps_stars[1:]))
+
+
+def test_a_zero_divisor_fails_its_check_without_raising(monkeypatch):
+    def suite(nu, gamma, **_):
+        return {"nu": nu, "gamma": gamma, "upb2_ratio_max": 1.0, "upb1_ratio_max": 1.0,
+                "lowerb_ratio": 0.0, "p1_c_hat": 1.0, "q1_rate": 1.0,
+                "q1_rate_surplus": 0.0}
+    monkeypatch.setattr(acc.ev, "alpha1_suite", suite)
+    rec = acc.criterion_alpha1_bounds()
+    failed = [c["name"] for c in rec["details"]["checks"] if not c["passed"]]
+    assert failed == ["least LowerB ratio", "LowerB stability", "Q1 surplus |r/2 - 1|"]
+    assert not rec["passed"]

@@ -312,7 +312,7 @@ class TestSweepPoolAndSeed:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sub", ["psi", "resolvent-sweep", "pseudospectrum", "alpha1",
-                                     "waveop", "all-acceptance"])
+                                     "waveop", "all-acceptance", "check-report"])
     def test_seed_is_refused_where_nothing_is_drawn(self, tmp_path, capsys, monkeypatch,
                                                     sub):
         monkeypatch.setitem(RUNNERS, sub, lambda cfg: pytest.fail("runner ran"))
