@@ -142,7 +142,7 @@ def criterion_gearhart_pruss() -> dict:
     checks, psis = [], {}
     for name, which, p in cases:
         op, metric = ps.psi_operator(p, which, n=256)
-        psi_res = ps.compute_psi(op, ps.default_psi_query(p, scan_count=96), metric=metric)
+        psi_res = ps.compute_psi(op, ps.psi_half_width(p), 96, metric)
         times = np.linspace(0.0, 20.0 / psi_res.psi, 41)
         out = ev.semigroup_norm_curve(op, times, psi_res, metric=metric)
         checks.append(_check(f"{name} semigroup margin", out["margin"],

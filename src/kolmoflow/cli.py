@@ -145,7 +145,9 @@ class RunConfig:
     seed: int = 0
 
     def echo(self) -> dict:
-        return {"subcommand": self.subcommand, "seed": self.seed, **self.values}
+        """The envelope's config: a seed only where the run draws from one."""
+        seed = {"seed": self.seed} if self.subcommand in SEEDED else {}
+        return {"subcommand": self.subcommand, **seed, **self.values}
 
 
 def _parse_scalar(raw: str):

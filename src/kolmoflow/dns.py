@@ -200,7 +200,7 @@ class SpectralField3D:
         return np.fft.irfft(lines, n=self.shape[2], axis=3, norm="forward",
                             out=self._phys[:m])
 
-    def box_to_spectral(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def box_to_spectral(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Box coefficients of m <= 3 physical fields (m, nx, ny, nz): numpy's
         rfftn, keeping kz <= cz after the z transform and the retained rows
         after the y and x transforms."""
@@ -211,8 +211,6 @@ class SpectralField3D:
         spec_x = self._lines[3:3 + m, :, :ry]  # the half the y lines leave free
         for cy, fy in self._y_runs:
             np.fft.fft(lines[:, :, fy], axis=1, norm="forward", out=spec_x[:, :, cy])
-        if out is None:
-            out = np.empty((m,) + self.box_shape, dtype=complex)
         for cx, fx in self._x_runs:
             out[:, cx] = spec_x[:, fx]
         return out
@@ -291,12 +289,10 @@ def _shift_ky(w: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def background_rhs(state: SpectralField3D, what: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def background_rhs(state: SpectralField3D, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """-(U* dx V + v2 dU*/dy e_x) on the box via exact +-k_f spectral shifts."""
     cfg = state.config
     amp = cfg.gamma / (cfg.nu * cfg.k_f**2)
-    v = state.vhat[state.box] if what is None else what
     up, down = state._stack[:3], state._stack[3:]  # free until the nonlinear term
     # sin(k_f y) dx V = (shift up - shift down)/(2i) of i kx V
     rhs = np.multiply((-0.5 * amp) * state.box_kx,
@@ -310,13 +306,11 @@ def background_rhs(state: SpectralField3D, what: np.ndarray | None = None,
     return rhs
 
 
-def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def nonlinear_rhs(state: SpectralField3D, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rotation form V x omega of the advection term -(V.grad)V (the
     |V|^2/2 gradient falls to the projection) on the box. One batched
     pruned inverse transform of (V, omega) and one pruned forward transform
     of the products, which keeps only the box: the 2/3 rule."""
-    v = state.vhat[state.box] if what is None else what
     kx, ky, kz = state.box_kx, state.box_ky, state.box_kz
     both = state._stack
     both[:3] = v
@@ -331,11 +325,9 @@ def nonlinear_rhs(state: SpectralField3D, what: np.ndarray | None = None,
     return state.box_to_spectral(prod, out)
 
 
-def explicit_rhs(state: SpectralField3D, what: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def explicit_rhs(state: SpectralField3D, what: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Projected background and advection terms of box coefficients."""
     cfg = state.config
-    out = np.empty_like(what) if out is None else out
     out[...] = 0.0  # the terms add onto +0.0, so a -0.0 term ends up +0.0
     term = state._stage[4]
     out += background_rhs(state, what, term)

@@ -163,8 +163,6 @@ def propagator(op: OperatorMatrix | np.ndarray, t: float,
     if t < 0:
         raise ConfigurationError("propagator needs t >= 0")
     a = op.dense() if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    if t == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
     scale = t * np.linalg.norm(a, 1)
     if scale > norm_cap:
         chunks = int(np.ceil(scale / norm_cap))

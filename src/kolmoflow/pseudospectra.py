@@ -45,7 +45,6 @@ from .spectral import (
     ModeParams,
     OperatorMatrix,
     REGIME_FACTOR,
-    ResolventQuery,
     StarMetric,
     assemble_L_lambda,
     assemble_mode_operators,
@@ -55,26 +54,10 @@ from .spectral import (
 
 DENSE_SVD_MAX = 64
 PSI_SCAN_MARGIN = 0.5
+PSI_REFINE_RTOL = 1e-3
 _BRACKET_RTOL = 1e-9
 _N_MIN, _N_MAX = 64, 4096
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class PsiQuery:
-    """Scan interval, coarse resolution and refinement tolerance for Psi;
-    the metric is an argument of `compute_psi`."""
-
-    lam_lo: float
-    lam_hi: float
-    scan_count: int = 256
-    refine_rtol: float = 1e-3
-
-    def __post_init__(self):
-        if not self.lam_lo < self.lam_hi:
-            raise ConfigurationError("lam_lo must be < lam_hi")
-        if self.scan_count < 16:
-            raise ConfigurationError("scan count must be >= 16")
 
 
 @dataclass
@@ -273,49 +256,49 @@ def _golden_refine(f, a: float, b: float, rtol: float, max_iter: int = 120):
     return d, fd, b - a
 
 
-def default_psi_query(params: ModeParams, **kw) -> PsiQuery:
-    """Scan +-1.5*|shear|*(1+PSI_SCAN_MARGIN): the skew numerical range is
-    +-|shear|."""
-    half = 1.5 * abs(params.shear) * (1.0 + PSI_SCAN_MARGIN)
-    if half == 0.0:
-        half = 1.0
-    return PsiQuery(lam_lo=-half, lam_hi=half, **kw)
+def psi_half_width(params: ModeParams) -> float:
+    """Half-width 1.5*|shear|*(1+PSI_SCAN_MARGIN) of a Psi scan: the skew
+    numerical range is +-|shear|."""
+    return 1.5 * abs(params.shear) * (1.0 + PSI_SCAN_MARGIN)
 
 
-def compute_psi(op: OperatorMatrix, query: PsiQuery,
+def compute_psi(op: OperatorMatrix, half_width: float, scan_count: int,
                 metric: StarMetric | None = None) -> PsiResult:
-    """Coarse scan + golden-section refinement of all interior local minima.
+    """Coarse scan of [-half_width, half_width] with `scan_count` points,
+    then golden-section refinement (to PSI_REFINE_RTOL) of every interior
+    local minimum.
 
     The scan is in the star metric if and only if `metric` is given, and in
     the euclidean one otherwise. `metric.transform` is applied once per scan
     and each point only shifts the result; the shift commutes with the
     restriction and the diagonal similarity, so this is exact up to rounding.
 
-    If the transformed operator M is real, sigma_min is even in lam:
-    conj(M - i*lam) = M + i*lam has the same singular values. Each distinct
-    |lam| is then evaluated once, at +|lam|. On a symmetric interval
-    (lam_lo == -lam_hi) the coarse grid is made exactly odd, so mirrored
-    points share one sigma_min and `sigma_grid` equals its reverse; refining
-    the mirror of a refined minimum visits the mirrored points and evaluates
-    nothing new. `lam_star` is reported as -|lam|, the first point of its
-    mirrored pair, so lam_star <= 0. Any other operator is evaluated once per
-    distinct lam. `sigma_evals` counts the sigma_min evaluations of the scan.
+    The transformed operator M must be real (ModeH, ModeL and Q1L are, to
+    the bit); a complex one raises ConfigurationError. sigma_min is then
+    even in lam: conj(M - i*lam) = M + i*lam has the same singular values.
+    Each distinct |lam| is evaluated once, at +|lam|. The coarse grid is
+    exactly odd, so mirrored points share one sigma_min and `sigma_grid`
+    equals its reverse; refining the mirror of a refined minimum visits the
+    mirrored points and evaluates nothing new. `lam_star` is reported as
+    -|lam|, the first point of its mirrored pair, so lam_star <= 0.
+    `sigma_evals` counts the sigma_min evaluations of the scan.
     """
+    if not (half_width > 0.0 and scan_count >= 16):
+        raise ConfigurationError("a Psi scan needs half_width > 0 and scan_count >= 16")
     a = op if metric is None else metric.transform(op)
-    even = not np.any(a.ab.imag)
+    if np.any(a.ab.imag):
+        raise ConfigurationError("Psi scans need a real operator: sigma_min must be even in lam")
     memo: dict[float, float] = {}
 
     def sigma(lam: float) -> float:
-        key = abs(float(lam)) if even else float(lam)
+        key = abs(float(lam))
         if key not in memo:
             memo[key] = smallest_singular_value(a, key)
         return memo[key]
 
     flags: list[str] = []
-    symmetric = query.lam_lo == -query.lam_hi
-    lam_grid = np.linspace(query.lam_lo, query.lam_hi, query.scan_count)
-    if symmetric:
-        lam_grid = (lam_grid - lam_grid[::-1]) / 2.0
+    lam_grid = np.linspace(-half_width, half_width, scan_count)
+    lam_grid = (lam_grid - lam_grid[::-1]) / 2.0
     sig = np.array([sigma(lam) for lam in lam_grid])
 
     # sanity: sigma_min never exceeds the smallest column norm
@@ -333,13 +316,12 @@ def compute_psi(op: OperatorMatrix, query: PsiQuery,
     width = h
     for i in interior_min:
         lam, s, width_i = _golden_refine(sigma, lam_grid[i - 1], lam_grid[i + 1],
-                                         query.refine_rtol)
+                                         PSI_REFINE_RTOL)
         if s < best_sig:
             best_sig, best_lam = s, lam
             width = width_i
-    if even and symmetric:
-        # a tie in the golden search can end a refinement at lam > 0
-        best_lam = min(best_lam, -best_lam)
+    # a tie in the golden search can end a refinement at lam > 0
+    best_lam = min(best_lam, -best_lam)
     boundary = np.argmin(sig) in (0, len(lam_grid) - 1)
     if boundary:
         flags.append("minimum at scan boundary; widen the interval")
@@ -420,15 +402,11 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
                     if kind == "Nlambda":
                         op = assemble_N_lambda(params, lam, grid, alpha=alpha)
                         factor = 1.0
-                    elif kind == "Llambda":
-                        q = ResolventQuery(lam=lam, beta_tilde=np.sqrt(beta**2 - 1.0))
-                        op = assemble_L_lambda(params, q, grid, alpha=alpha, beta=beta)
-                        factor = 1.0 - beta**-2
                     else:
-                        q = ResolventQuery(lam=lam, beta_tilde=np.sqrt(beta**2 - 1.0))
-                        op = assemble_L_lambda(params, q, grid, alpha=alpha, beta=beta,
-                                               u_form=True)
-                        factor = 1.0
+                        u_form = kind == "Lu-form"
+                        op = assemble_L_lambda(params, lam, grid, alpha=alpha, beta=beta,
+                                               u_form=u_form)
+                        factor = 1.0 if u_form else 1.0 - beta**-2
                     sigma = smallest_singular_value(op)
                     row = {
                         "kind": kind, "nu": nu, "alpha": alpha, "lam": lam,
@@ -497,7 +475,7 @@ def psi_for_params(params: ModeParams, which: str, n: int | None = None,
                    scan_count: int = 128) -> PsiResult:
     """Psi of the `psi_operator(params, which, n)` operator in its metric."""
     op, metric = psi_operator(params, which, n)
-    return compute_psi(op, default_psi_query(params, scan_count=scan_count), metric=metric)
+    return compute_psi(op, psi_half_width(params), scan_count, metric)
 
 
 def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",

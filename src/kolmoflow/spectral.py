@@ -214,14 +214,6 @@ class ModeParams:
 
 
 @dataclass(frozen=True)
-class ResolventQuery:
-    """Spectral shift and reduced wavenumber for the u-form resolvent."""
-
-    lam: float
-    beta_tilde: float
-
-
-@dataclass(frozen=True)
 class FourierGrid:
     """Uniform collocation grid y_j = 2*pi*j/N with monotone wavenumbers.
 
@@ -437,29 +429,30 @@ def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     return OperatorMatrix(ab)
 
 
-def assemble_L_lambda(params: ModeParams, query: ResolventQuery, grid: FourierGrid,
+def assemble_L_lambda(params: ModeParams, lam: float, grid: FourierGrid,
                       alpha: float | None = None, beta: float | None = None,
                       u_form: bool = False) -> OperatorMatrix:
-    """Full resolvent operator, w-form or u-form.
+    """Full resolvent operator at the shift lam, w-form or u-form.
 
     w-form: L_lambda w = i(alpha/nu)[(sin y - lambda) w + sin y phi] - nu w''
     with (d^2-beta^2) phi = w, i.e. phi = -(beta^2-d^2)^(-1) w.
 
-    u-form (same assumptions, reduced wavenumber beta_tilde):
+    u-form (same assumptions, reduced wavenumber
+    beta_tilde = sqrt(beta^2 - 1), so beta > 1):
     i(alpha/nu)[(sin y - lambda) u + lambda phi] - nu u'' with
     (d^2 - beta_tilde^2) phi = u.
     """
     a = params.alpha if alpha is None else alpha
     b = params.beta if beta is None else beta
-    nu, lam = params.nu, query.lam
+    nu = params.nu
     n = grid.wavenumbers
     visc = nu * n.astype(complex) ** 2
     c = 1j * a / nu
     sin_b = multiplication_matrix("sin", grid.n)
     if u_form:
-        bt = query.beta_tilde
-        if bt <= 0:
-            raise ConfigurationError("u-form requires beta_tilde > 0")
+        if b <= 1:
+            raise ConfigurationError(f"u-form requires beta > 1, got {b}")
+        bt = np.sqrt(b**2 - 1.0)
         hinv = 1.0 / (bt**2 + n**2)
         ab = _main_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b
         return OperatorMatrix(ab)

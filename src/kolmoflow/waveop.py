@@ -388,24 +388,25 @@ class WaveOperator:
 _OPERATOR_CACHE: dict[tuple, WaveOperator] = {}
 
 
-def get_wave_operator(alpha: float, n: int, margin: float = ENDPOINT_MARGIN) -> WaveOperator:
-    """The cached operator for (alpha, n, margin), built on first use.
+def get_wave_operator(alpha: float, n: int) -> WaveOperator:
+    """The cached operator for (alpha, n), masked ENDPOINT_MARGIN from the
+    endpoints, built on first use.
 
-    A coarse level is cut from a cached finer operator of the same alpha and
-    margin whose n is a power-of-two multiple of the requested one, instead
-    of being solved again. The result is bit-identical to a cold build: the
+    A coarse level is cut from a cached finer operator of the same alpha
+    whose n is a power-of-two multiple of the requested one, instead of
+    being solved again. The result is bit-identical to a cold build: the
     profiles and coefficients depend only on c and alpha, the dense ODE
     output is evaluated point by point, and the coarse grid points are
     exactly every r-th fine grid point.
     """
     _check_grid_size(n)
-    key = (round(float(alpha), 12), int(n), round(float(margin), 12))
+    key = (round(float(alpha), 12), int(n))
     if key not in _OPERATOR_CACHE:
-        fine = min((op for (a, nf, mg), op in _OPERATOR_CACHE.items()
-                    if (a, mg) == (key[0], key[2]) and nf > n and nf % n == 0
+        fine = min((op for (a, nf), op in _OPERATOR_CACHE.items()
+                    if a == key[0] and nf > n and nf % n == 0
                     and (nf // n) & (nf // n - 1) == 0),
                    key=lambda op: op.n, default=None)
-        _OPERATOR_CACHE[key] = (WaveOperator(alpha, n, margin) if fine is None
+        _OPERATOR_CACHE[key] = (WaveOperator(alpha, n) if fine is None
                                 else _coarsen(fine, n))
     return _OPERATOR_CACHE[key]
 
@@ -413,7 +414,7 @@ def get_wave_operator(alpha: float, n: int, margin: float = ENDPOINT_MARGIN) -> 
 def _coarsen(fine: WaveOperator, n: int) -> WaveOperator:
     """The level-n operator taken from the tables of a finer one."""
     r = fine.n // n
-    op = WaveOperator(fine.alpha, n, fine.margin, _defer=True)
+    op = WaveOperator(fine.alpha, n, _defer=True)
     rows = np.searchsorted(fine.valid_half_idx, r * op.valid_half_idx)
     op._install_tables(fine.phi1_table[rows][:, ::r],
                        {k: v[rows] for k, v in fine.coeff.items()})

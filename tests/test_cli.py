@@ -320,6 +320,18 @@ class TestSweepPoolAndSeed:
         assert f"--seed: {sub} draws nothing from a seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_envelope_names_a_seed_only_where_one_is_drawn(self, tmp_path):
+        psi_dir, evolve_dir = tmp_path / "psi", tmp_path / "evolve"
+        psi_dir.mkdir()
+        evolve_dir.mkdir()
+        psi_text = MINIMAL_PSI.replace("n = 256", "n = 128")
+        assert self.run(psi_dir, "psi", psi_text) == EXIT_OK
+        assert self.run(evolve_dir, "evolve", self.CONFIGS["evolve"], "--seed", "3") == EXIT_OK
+        psi = check_report(psi_dir / "o" / "psi_report.json")["envelope"]["config"]
+        evolve = check_report(evolve_dir / "o" / "evolve_report.json")["envelope"]["config"]
+        assert "seed" not in psi and psi["subcommand"] == "psi"
+        assert evolve["seed"] == 3
+
     def test_largest_seed_runs(self, tmp_path):
         assert self.run(tmp_path, "dns", self.CONFIGS["dns"],
                         "--seed", str(2**64 - 1)) == EXIT_OK

@@ -18,7 +18,7 @@ from kolmoflow.spectral import (
     assemble_mode_operators,
     build_grid,
 )
-from kolmoflow.pseudospectra import PsiQuery, compute_psi, psi_for_params
+from kolmoflow.pseudospectra import compute_psi, psi_for_params
 from kolmoflow.evolution import (
     DecayFit,
     ForcingSpec,
@@ -148,7 +148,7 @@ class TestEvolveCoupled:
 class TestSemigroupCurve:
     def test_selfadjoint_diag(self):
         a = np.diag([1.0, 3.0])
-        psi = compute_psi(OperatorMatrix.from_dense(a), PsiQuery(-2, 2, scan_count=32))
+        psi = compute_psi(OperatorMatrix.from_dense(a), 2.0, 32)
         assert psi.psi == pytest.approx(1.0, rel=1e-6)
         out = semigroup_norm_curve(a, np.linspace(0, 5, 11), psi)
         assert out["verdict"]
@@ -160,7 +160,7 @@ class TestSemigroupCurve:
         a = np.array([[1.0, 2.0], [0.0, 2.0]])
         herm = 0.5 * (a + a.T)
         assert np.linalg.eigvalsh(herm).min() >= 0
-        psi = compute_psi(OperatorMatrix.from_dense(a), PsiQuery(-4, 4, scan_count=64))
+        psi = compute_psi(OperatorMatrix.from_dense(a), 4.0, 64)
         times = np.linspace(0, 6, 25)
         out = semigroup_norm_curve(a, times, psi)
         assert out["verdict"]
@@ -183,7 +183,7 @@ class TestSemigroupCurve:
 
     def test_non_uniform_times_rejected(self):
         a = np.diag([1.0, 3.0])
-        psi = compute_psi(OperatorMatrix.from_dense(a), PsiQuery(-2, 2, scan_count=32))
+        psi = compute_psi(OperatorMatrix.from_dense(a), 2.0, 32)
         for times in (np.array([0.0, 0.5, 2.0, 3.0]), np.linspace(1.0, 5.0, 9)):
             with pytest.raises(ConfigurationError):
                 semigroup_norm_curve(a, times, psi)

@@ -19,7 +19,6 @@ from kolmoflow.spectral import (
     FourierGrid,
     ModeParams,
     OperatorMatrix,
-    ResolventQuery,
     StarMetric,
     assemble_L1,
     assemble_L_lambda,
@@ -37,11 +36,6 @@ RNG = np.random.default_rng(20260809)
 
 def params_for(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0):
     return ModeParams(nu=nu, gamma=gamma, k_f=k_f, k1=k1, k3=k3)
-
-
-def query_for(params, lam):
-    """The u-form resolvent query at lam: beta_tilde = sqrt(beta^2 - 1)."""
-    return ResolventQuery(lam=lam, beta_tilde=np.sqrt(params.beta**2 - 1.0))
 
 
 def star_inner(metric, c, d):
@@ -113,8 +107,7 @@ class TestModeParams:
 # collocation oracle: Fourier-assembled action == physical-space evaluation
 # ---------------------------------------------------------------------------
 
-def collocation_apply(kind, grid, params, lam=None, query=None, u_form=False,
-                      nu=None, beta=None):
+def collocation_apply(kind, grid, params, lam=None, u_form=False, nu=None, beta=None):
     """Pointwise physical-space evaluation of each operator on coefficients."""
     y = grid.y
     n = grid.wavenumbers
@@ -129,7 +122,8 @@ def collocation_apply(kind, grid, params, lam=None, query=None, u_form=False,
             return (1j * params.alpha / params.nu) * (
                 (np.sin(y) - lam) * w + np.sin(y) * phi) - params.nu * wpp
         if kind == "Llambda" and u_form:
-            phi = grid.to_grid(-c / (query.beta_tilde**2 + n**2))
+            # the reduced wavenumber beta_tilde^2 = beta^2 - 1
+            phi = grid.to_grid(-c / (params.beta**2 - 1.0 + n**2))
             return (1j * params.alpha / params.nu) * (
                 (np.sin(y) - lam) * w + lam * phi) - params.nu * wpp
         if kind == "ModeH":
@@ -151,12 +145,11 @@ def test_collocation_equivalence(n):
     p = params_for(nu=0.01, gamma=0.3, k_f=0.5, k1=2, k3=1)
     grid = build_grid(n, p)
     lam = 0.37
-    q = query_for(p, lam)
     cases = [
         (assemble_N_lambda(p, lam, grid), collocation_apply("Nlambda", grid, p, lam=lam)),
-        (assemble_L_lambda(p, q, grid), collocation_apply("Llambda", grid, p, lam=lam)),
-        (assemble_L_lambda(p, q, grid, u_form=True),
-         collocation_apply("Llambda", grid, p, lam=lam, query=q, u_form=True)),
+        (assemble_L_lambda(p, lam, grid), collocation_apply("Llambda", grid, p, lam=lam)),
+        (assemble_L_lambda(p, lam, grid, u_form=True),
+         collocation_apply("Llambda", grid, p, lam=lam, u_form=True)),
         (assemble_mode_operators(p, grid)[0], collocation_apply("ModeL", grid, p)),
         (assemble_mode_operators(p, grid)[1], collocation_apply("ModeH", grid, p)),
         (assemble_L1(0.01, 0.3, grid), collocation_apply("L1", grid, p, nu=0.01, beta=0.3)),
@@ -173,12 +166,11 @@ def test_collocation_equivalence(n):
 def test_band_structure():
     p = params_for(nu=0.01, gamma=0.3, k_f=0.5, k1=2, k3=1)
     grid = build_grid(64, p)
-    q = query_for(p, 0.2)
     ml, mh = assemble_mode_operators(p, grid)
     ops = [
         assemble_N_lambda(p, 0.2, grid),
-        assemble_L_lambda(p, q, grid),
-        assemble_L_lambda(p, q, grid, u_form=True),
+        assemble_L_lambda(p, 0.2, grid),
+        assemble_L_lambda(p, 0.2, grid, u_form=True),
         ml, mh,
         assemble_L1(0.01, 0.3, grid),
         helmholtz_inverse(p.beta, grid),
@@ -223,12 +215,20 @@ class TestPointExamples:
         p = params_for(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)
         grid = build_grid(32, p)
         lam = 0.9
-        op = assemble_L_lambda(p, ResolventQuery(lam=lam, beta_tilde=1.0), grid, beta=1.0)
+        op = assemble_L_lambda(p, lam, grid, beta=1.0)
         c = np.zeros(32, dtype=complex)
         c[grid.wavenumbers == 0] = 1.0
         out = op.matvec(c)
         want = -1j * p.alpha * lam / p.nu * c
         assert np.allclose(out, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_u_form_refuses_beta_at_most_one(self, beta):
+        # beta_tilde = sqrt(beta^2 - 1) needs beta > 1; the w-form takes beta = 1
+        p = params_for(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)
+        grid = build_grid(32, p)
+        with pytest.raises(ConfigurationError, match="beta > 1"):
+            assemble_L_lambda(p, 0.9, grid, beta=beta, u_form=True)
 
     def test_helmholtz_diagonal_rule(self):
         p = params_for(k_f=0.5, k1=1, k3=1)
@@ -436,7 +436,7 @@ def test_operator_matrix_restriction_matches_dense_round_trip():
 def test_operator_matrix_block_matvec():
     p = params_for(k_f=0.5, k1=1, k3=1)
     grid = build_grid(32, p)
-    op = assemble_L_lambda(p, query_for(p, 0.3), grid)
+    op = assemble_L_lambda(p, 0.3, grid)
     block = RNG.standard_normal((32, 3)) + 1j * RNG.standard_normal((32, 3))
     by_column = np.column_stack([op.matvec(block[:, j]) for j in range(3)])
     assert np.array_equal(op.matvec(block), by_column)

@@ -6,8 +6,10 @@
 Each run is one CLI subcommand on a small fixed configuration, the one
 tests/test_cli.py uses where it has one, with seed 0. A run is named after
 its subcommand, with a suffix where one subcommand has several runs: `psi`,
-`psi-L` and `psi-Q1L` cover the three operator selectors, and `dns-eps`
-and `threshold-eps` step a nonzero perturbation where `dns` and
+`psi-L` and `psi-Q1L` cover the three operator selectors,
+`resolvent-sweep-L` and `resolvent-sweep-Lu` the two nonlocal sweep kinds
+(`Llambda` and `Lu-form`, beta = 2) next to the `Nlambda` run, and
+`dns-eps` and `threshold-eps` step a nonzero perturbation where `dns` and
 `threshold` start from the base flow itself. The script makes
 the named runs (all of them by default) and prints one `name sha256` line
 per report payload section (canonical JSON, as `cli.payload_bytes` writes
@@ -50,6 +52,12 @@ RUNS = {
                        "operator = Q1L\n"),
     "resolvent-sweep": ("resolvent-sweep",
                         "kind = Nlambda\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n"),
+    "resolvent-sweep-L": ("resolvent-sweep",
+                          "kind = Llambda\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n"
+                          "beta = 2\n"),
+    "resolvent-sweep-Lu": ("resolvent-sweep",
+                           "kind = Lu-form\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n"
+                           "beta = 2\n"),
     "pseudospectrum": ("pseudospectrum",
                        "nu = 0.05\ngamma = 0.3\nk_f = 1\nk1 = 1\nk3 = 0\nn = 32\n"
                        "re_lo = 0\nre_hi = 1\nim_lo = -2\nim_hi = 2\nnx = 8\nny = 8\n"),
