@@ -282,7 +282,7 @@ def criterion_wave_operator() -> dict:
                                     fit_t_end=30.0 if n == 256 else None)
         residuals[n] = out["residual"]
     checks = [   # `out` is the n = 256 run, the one with the g1 fits
-        _check("intertwining", None, "waveop.intertwining_residual", None,
+        _check("intertwining", inter["worst"], "waveop.intertwining_residual", None,
                inter["passed"]),
         _check("worst bound stability", max(bounds["stability"].values()),
                "waveop.bound_sweep", None, bounds["passed"]),

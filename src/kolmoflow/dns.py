@@ -180,9 +180,6 @@ class SpectralField3D:
         self._stage = np.empty((5, 3, rx, ry, rz), dtype=complex)
 
     # -- transforms (normalized coefficients, batched over leading axes) -----
-    def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(v, axes=(-3, -2, -1), norm="forward")
-
     def box_to_physical(self, c: np.ndarray) -> np.ndarray:
         """Physical values of m <= 6 fields of box coefficients, shape
         (m,) + box_shape: numpy's irfftn of their zero-padded half spectrum, pruned. The x
@@ -220,9 +217,6 @@ class SpectralField3D:
         """Re int a . conj(b) over the box, for half-spectrum coefficients."""
         return float(self.vol * np.sum(self.weight * (a * np.conj(b)).real))
 
-    def leray_project(self, what: np.ndarray) -> np.ndarray:
-        return _project(what.copy(), self.kx, self.ky, self.kz, self.k2_safe)
-
     def project_box(self, c: np.ndarray) -> np.ndarray:
         """Leray projection of box coefficients, in place."""
         return _project(c, self.box_kx, self.box_ky, self.box_kz, self.box_k2_safe)
@@ -250,32 +244,29 @@ class SpectralField3D:
 
 def init_perturbation(config: DNSConfig) -> SpectralField3D:
     """Random divergence-free real field with H2 norm exactly epsilon,
-    supported on the retained 2/3-rule box: the negated standard-normal
-    draw of `config.seed`, masked and projected."""
+    supported on the retained 2/3-rule box: the box coefficients of the
+    negated standard-normal draw of `config.seed`, projected."""
     state = SpectralField3D(config)
     if config.epsilon == 0.0:
         return state
     rng = np.random.default_rng(config.seed)
-    nx, ny, nz = config.n
-    what = state.to_spectral(-rng.standard_normal((3, nx, ny, nz)))
-    what *= state.dealias
-    what[:, 0, 0, 0] = 0.0  # perturbation carries no mean flow
-    what = state.leray_project(what)
-    state.vhat = what
+    c = state.box_to_spectral(-rng.standard_normal((3,) + config.n),
+                              np.empty((3,) + state.box_shape, dtype=complex))
+    c[:, 0, 0, 0] = 0.0  # perturbation carries no mean flow
+    state.vhat[state.box] = state.project_box(c)
     h2 = state.h2_norm()
     if h2 > 0:
         state.vhat *= config.epsilon / h2
     return state
 
 
-def _shift_ky(w: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+def _shift_ky(w: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     """Shift the compact y axis (axis -2, fft order 0..c, -c..-1) of box
     coefficients by s = +-1 grid steps (multiplication by e^{+-i k_f y}).
 
     The mode shifted past +-c falls off the box, and the slot it vacates
     (-c for s = +1, +c for s = -1) is zero."""
     c = w.shape[-2] // 2
-    out = np.empty_like(w) if out is None else out
     if s == 1:
         out[..., 1:, :] = w[..., :-1, :]
         out[..., 0, :] = w[..., -1, :]

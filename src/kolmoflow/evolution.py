@@ -18,8 +18,8 @@ the bits it would have if it were redone:
   A_L steps at dt and dt/2 of `forced_decay`) is kept read-only, keyed by
   everything its generator reads (ModeParams, grid size, dt); callers that
   repeat a key do so in consecutive calls, so one entry per kind suffices;
-- a trajectory's channel norms are taken state by state, with the
-  derivative factor and the mean mask built once per trajectory;
+- a trajectory's states are stacked from `_march`, the one marcher, and
+  normed by one `norm_coeffs` call per channel;
 - `alpha1_suite` solves L1 once for all its right-hand sides (the random
   ensemble, then the whole trajectory) and reads <L1^{-1} f, 1> off the
   n = 0 row of the solution.
@@ -157,12 +157,11 @@ class NormAccumulators:
 # propagators
 # ---------------------------------------------------------------------------
 
-def propagator(op: OperatorMatrix | np.ndarray, t: float,
-               norm_cap: float = 200.0) -> np.ndarray:
+def propagator(op: np.ndarray, t: float, norm_cap: float = 200.0) -> np.ndarray:
     """e^(-t A) by scaling-and-squaring Pade, chunked when t*||A|| is extreme."""
     if t < 0:
         raise ConfigurationError("propagator needs t >= 0")
-    a = op.dense() if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    a = np.asarray(op, dtype=complex)
     scale = t * np.linalg.norm(a, 1)
     if scale > norm_cap:
         chunks = int(np.ceil(scale / norm_cap))
@@ -193,6 +192,14 @@ def _last_propagators(kind: str, params: ModeParams, grid: FourierGrid, dt: floa
     return mats
 
 
+def _march(e: np.ndarray, x: np.ndarray, steps: int):
+    """Yield x, e x, ..., e^steps x; only the current power is held."""
+    yield x
+    for _ in range(steps):
+        x = e @ x
+        yield x
+
+
 def operator_norm(mat: np.ndarray, metric: StarMetric | None = None) -> float:
     """||mat||_2, or its star norm ||W^(1/2) mat W^(-1/2)||_2 for a metric
     without `keep` (one of mat's size, as `psi_operator` returns)."""
@@ -220,22 +227,17 @@ def coupled_generators(params: ModeParams, grid: FourierGrid
 
 
 def _traj_from_states(times, fs, gs, params, grid, store_states) -> Trajectory:
-    """Channel norms of the states fs (and gs; None means g = 0), one state
-    at a time, so no temporary is as large as the trajectory."""
+    """Channel norms of the stacked states fs (and gs; None means g = 0),
+    one `norm_coeffs` call per channel."""
     norm = grid.norm_coeffs
     q1 = grid.wavenumbers != 0
-    p1 = ~q1
-    dy = 1j * grid.wavenumbers
-    nf = np.array([norm(f) for f in fs])
-    ng = np.zeros(len(fs)) if gs is None else np.array([norm(g) for g in gs])
-    nq = np.array([norm(np.where(q1, f, 0)) for f in fs])
-    npn = np.array([norm(np.where(p1, f, 0)) for f in fs])
-    nd = np.array([norm(dy * f) for f in fs])
     return Trajectory(
-        times=np.asarray(times), norm_f=nf, norm_g=ng, norm_q1f=nq,
-        norm_p1f=npn, norm_dyf=nd, params=params, grid=grid,
-        f_states=np.array(fs) if store_states else None,
-        g_states=np.array(gs) if store_states else None,
+        times=np.asarray(times), norm_f=norm(fs),
+        norm_g=np.zeros(len(fs)) if gs is None else norm(gs),
+        norm_q1f=norm(np.where(q1, fs, 0)), norm_p1f=norm(np.where(~q1, fs, 0)),
+        norm_dyf=norm(1j * grid.wavenumbers * fs), params=params, grid=grid,
+        f_states=fs if store_states else None,
+        g_states=gs if store_states else None,
     )
 
 
@@ -262,11 +264,10 @@ def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
     e, = _last_propagators("block", params, grid, dt, block_step)
     steps = int(np.ceil(t_end / dt - 1e-12))
     times = np.arange(steps + 1) * dt
-    states = [np.concatenate([f0, g0]).astype(complex, copy=False)]
-    for _ in range(steps):
-        states.append(e @ states[-1])
-    return _traj_from_states(times, [s[:n] for s in states], [s[n:] for s in states],
-                             params, grid, store_states)
+    x0 = np.concatenate([f0, g0]).astype(complex, copy=False)
+    states = np.fromiter(_march(e, x0, steps), np.dtype((complex, 2 * n)), steps + 1)
+    return _traj_from_states(times, states[:, :n], states[:, n:], params, grid,
+                             store_states)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +296,8 @@ def semigroup_norm_curve(op: OperatorMatrix | np.ndarray, times: np.ndarray,
         raise ConfigurationError(
             "semigroup times must be a uniform grid from 0 with at least 3 points")
     e = propagator(a, times[1])
-    cur = np.eye(a.shape[0], dtype=complex)
-    norms = []
-    for _ in times:
-        norms.append(operator_norm(cur, metric))
-        cur = e @ cur
-    norms = np.asarray(norms)
+    powers = _march(e, np.eye(a.shape[0], dtype=complex), len(times) - 1)
+    norms = np.array([operator_norm(cur, metric) for cur in powers])
     bound = np.exp(-times * psi.psi + np.pi / 2.0) * (1.0 + SEMIGROUP_TOL) * np.exp(
         times * psi.scan_error)
     ok = norms <= bound
@@ -389,16 +386,14 @@ def energy_identity_residual(traj: Trajectory) -> dict:
     hinv = 1.0 / (p.alpha**2 + n**2)
     t = traj.times
     h = t[1] - t[0]
-    q = np.empty(len(t))
-    d = np.empty(len(t))
-    for i, f in enumerate(traj.f_states):
-        phi = hinv * f
-        nf2 = grid.norm_coeffs(f) ** 2
-        nphi2 = grid.norm_coeffs(phi) ** 2
-        ndphi2 = grid.norm_coeffs(1j * n * phi) ** 2
-        ndf2 = grid.norm_coeffs(1j * n * f) ** 2
-        q[i] = nf2 - p.alpha**2 * nphi2 - ndphi2
-        d[i] = p.nu * p.k_f**2 * ((p.alpha**2 - 1.0) * nf2 + ndf2)
+    f = traj.f_states
+    phi = hinv * f
+    # float_power squares with libm pow, as ** does on a float64 scalar (on an
+    # array ** multiplies), so these are the bits of norms squared state by state
+    nf2, nphi2, ndphi2, ndf2 = (np.float_power(grid.norm_coeffs(x), 2)
+                                for x in (f, phi, 1j * n * phi, 1j * n * f))
+    q = nf2 - p.alpha**2 * nphi2 - ndphi2
+    d = p.nu * p.k_f**2 * ((p.alpha**2 - 1.0) * nf2 + ndf2)
     if len(t) < 7:
         return {"residuals": np.array([]), "max_rel_residual": np.inf}
     # 4th-order central derivative on the interior
@@ -473,10 +468,7 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
     e = propagator(gen, dt)
     f0 = grid.random_coeffs(rng, mean_zero=True)
     f0 /= grid.norm_coeffs(f0)
-    fs = np.empty((steps + 1, grid.n), dtype=complex)
-    fs[0] = f0
-    for j in range(steps):
-        fs[j + 1] = e @ fs[j]
+    fs = np.fromiter(_march(e, f0, steps), np.dtype((complex, grid.n)), steps + 1)
 
     # (iii) conserved functional <L1^{-1} f, 1>(t) = e^{-nu t} <L1^{-1} f0, 1>;
     # `one` is the n = 0 unit vector, so the inner product is 2*pi times the

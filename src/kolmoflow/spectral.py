@@ -240,12 +240,17 @@ class FourierGrid:
     def inner_coeffs(self, c: np.ndarray, d: np.ndarray) -> complex:
         return TWO_PI * np.vdot(d, c)
 
-    def norm_coeffs(self, c: np.ndarray) -> float:
-        """sqrt(2*pi) ||c|| for a 1-D coefficient vector, summed as
-        np.linalg.norm sums it (re.re + im.im, then the square root) without
-        numpy's dispatch, so the bits are the same."""
+    def norm_coeffs(self, c: np.ndarray) -> float | np.ndarray:
+        """sqrt(2*pi) ||c|| of a coefficient vector, or of each row of a 2-D
+        stack, summed as np.linalg.norm sums it (re.re + im.im, then the square
+        root) without numpy's dispatch, so the bits are the same; a row's
+        (1, n) @ (n, 1) matmul is numpy's dot."""
         re, im = c.real, c.imag
-        return _SQRT_TWO_PI * math.sqrt(re.dot(re) + im.dot(im))
+        if c.ndim == 1:
+            return _SQRT_TWO_PI * math.sqrt(re.dot(re) + im.dot(im))
+        re, im = re[:, None, :], im[:, None, :]
+        sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+        return _SQRT_TWO_PI * np.sqrt(sq[:, 0, 0])
 
     def l1_norm_grid(self, values: np.ndarray) -> float:
         return (TWO_PI / self.n) * np.sum(np.abs(values))

@@ -114,6 +114,9 @@ def test_criterion_7_wave_operator():
     rec = _run(7)
     # bound_sweep owns its rule; the criterion claims every stability <= 3
     assert all(v <= 3.0 for v in rec["details"]["bound_stability"].values())
+    # the intertwining check carries its largest finest-level residual
+    inter = next(c for c in rec["details"]["checks"] if c["name"] == "intertwining")
+    assert 0.0 < inter["value"] <= 1e-3
 
 
 def test_criterion_8_forced_decay():

@@ -10,6 +10,7 @@ from kolmoflow.dns import (
     DiagnosticsTracker,
     SpectralField3D,
     ThresholdMap,
+    _project,
     _shift_ky,
     explicit_rhs,
     init_perturbation,
@@ -84,6 +85,22 @@ def viscous_rate(st):
     return -st.config.nu * st.inner(st.k2 * st.vhat, st.vhat)
 
 
+def rfftn3(v):
+    """The half spectrum of physical fields (..., nx, ny, nz), normalized as
+    `vhat` is."""
+    return np.fft.rfftn(v, axes=(-3, -2, -1), norm="forward")
+
+
+def leray_full(st, what):
+    """Leray projection of a copy of a half-layout spectrum."""
+    return _project(what.copy(), st.kx, st.ky, st.kz, st.k2_safe)
+
+
+def shifted_ky(w, s):
+    """`_shift_ky` into a new array."""
+    return _shift_ky(w, s, np.empty_like(w))
+
+
 class TestInit:
     def test_zero_epsilon(self):
         st = init_perturbation(base_config(epsilon=0.0))
@@ -100,13 +117,26 @@ class TestInit:
 
     def test_leray_idempotent(self):
         st = init_perturbation(base_config(seed=7))
-        once = st.leray_project(st.vhat)
-        twice = st.leray_project(once)
+        once = leray_full(st, st.vhat)
+        twice = leray_full(st, once)
         assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(once))
 
     def test_spectral_support_filtered(self):
         st = init_perturbation(base_config(seed=7))
         assert st.tail_fraction() == 0.0
+
+    @pytest.mark.parametrize("n", [(16, 16, 16), (16, 12, 10)])
+    def test_box_draw_is_bitwise_the_full_spectrum_draw(self, n):
+        cfg = base_config(n=n, seed=3)
+        st = init_perturbation(cfg)
+        # the draw on the whole half spectrum: rfftn, dealias mask, projection
+        want = rfftn3(-np.random.default_rng(cfg.seed).standard_normal((3,) + n))
+        want *= st.dealias
+        want[:, 0, 0, 0] = 0.0
+        want = leray_full(st, want)
+        want *= cfg.epsilon / st.h2_norm(want)
+        assert np.array_equal(st.vhat, want)
+        assert st.vhat[st.box].tobytes() == want[st.box].tobytes()  # signed zeros too
 
     def test_deterministic_seed(self):
         a = init_perturbation(base_config(seed=5))
@@ -166,7 +196,7 @@ class TestTransforms:
         cfg = base_config(n=(16, 12, 10))
         st = SpectralField3D(cfg)
         rng = np.random.default_rng(11)
-        half = st.to_spectral(rng.standard_normal((3,) + cfg.n))  # Hermitian by construction
+        half = rfftn3(rng.standard_normal((3,) + cfg.n))  # Hermitian by construction
         want = rotation_form_full(st, hermitian_extension(half, cfg.n[2]))
         box = half[st.box]
         got = on_full(st, nonlinear_rhs(st, box, np.empty_like(box)))
@@ -183,7 +213,7 @@ class TestTransforms:
             box = half[st.box]
             got = on_full(st, st.project_box(nonlinear_rhs(st, box, np.empty_like(box))))
             adv = advection_full(st, hermitian_extension(half, n[2]))[..., : n[2] // 2 + 1]
-            want = -st.leray_project(adv)
+            want = -leray_full(st, adv)
             assert np.max(np.abs(want)) > 0.0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
 
@@ -203,7 +233,7 @@ class TestTransforms:
         a, b = rng.standard_normal((2, 3) + cfg.n)
         vol_mean = st.vol / a[0].size
         want = vol_mean * np.sum(a * b)
-        got = st.inner(st.to_spectral(a), st.to_spectral(b))
+        got = st.inner(rfftn3(a), rfftn3(b))
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -230,7 +260,7 @@ def full_spectrum_step(st, h):
             vx, vy, vz, wx, wy, wz = np.fft.irfftn(both, s=st.shape, axes=(1, 2, 3), norm="forward")
             prod = np.stack([vy * wz - vz * wy, vz * wx - vx * wz, vx * wy - vy * wx])
             out += np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward") * mask
-        return st.leray_project(out * mask)
+        return leray_full(st, out * mask)
 
     e_full = np.exp(-cfg.nu * st.k2 * h)
     e_half = np.exp(-cfg.nu * st.k2 * (h / 2.0))
@@ -239,7 +269,7 @@ def full_spectrum_step(st, h):
     u1 = e_full * (u0 + h * rhs(u0))
     u_half = 0.75 * e_half * u0 + 0.25 * e_back * (u1 + h * rhs(u1))
     u_new = (e_full * u0 + 2.0 * e_half * (u_half + h * rhs(u_half))) / 3.0
-    st.vhat = st.leray_project(u_new)
+    st.vhat = leray_full(st, u_new)
     st.t += h
 
 
@@ -293,7 +323,7 @@ class TestStep:
             cfg = st.config
             visc = viscous_rate(st)
             v2 = st.vhat[1][st.box]
-            cosv2 = on_full(st, (_shift_ky(v2, 1) + _shift_ky(v2, -1)) / 2.0)
+            cosv2 = on_full(st, (shifted_ky(v2, 1) + shifted_ky(v2, -1)) / 2.0)
             lift = cfg.gamma / (cfg.nu * cfg.k_f)
             cross = -lift * st.inner(cosv2, st.vhat[0])
             return visc + cross
@@ -321,7 +351,7 @@ class TestStep:
         dedt = st.inner(rhs, st.vhat)
         visc = viscous_rate(st)
         v2 = st.vhat[1][st.box]
-        cosv2 = on_full(st, (_shift_ky(v2, 1) + _shift_ky(v2, -1)) / 2.0)
+        cosv2 = on_full(st, (shifted_ky(v2, 1) + shifted_ky(v2, -1)) / 2.0)
         lift = cfg.gamma / (cfg.nu * cfg.k_f)
         cross = -lift * st.inner(cosv2, st.vhat[0])
         assert dedt == pytest.approx(visc + cross, rel=1e-10)

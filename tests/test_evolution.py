@@ -54,9 +54,9 @@ class TestPropagator:
         p = ModeParams(nu=0.02, gamma=0.3, k_f=0.5, k1=1, k3=0)
         grid = build_grid(48, p)
         _, mh = assemble_mode_operators(p, grid)
-        e1 = propagator(mh, 0.3)
-        e2 = propagator(mh, 0.5)
-        e3 = propagator(mh, 0.8)
+        e1 = propagator(mh.dense(), 0.3)
+        e2 = propagator(mh.dense(), 0.5)
+        e3 = propagator(mh.dense(), 0.8)
         assert np.linalg.norm(e2 @ e1 - e3) / np.linalg.norm(e3) <= 1e-9
 
     def test_ode_oracle(self):
@@ -409,6 +409,32 @@ class TestReuseIsBitIdentical:
         vectors += list(block) + list(block.T[:, :5].T) + [block[:, 3], block[0].real]
         assert np.array_equal([grid.norm_coeffs(c) for c in vectors],
                               [_norm(c) for c in vectors])
+
+    def test_norm_coeffs_of_a_stack_is_row_by_row(self):
+        # a (1, n) @ (n, 1) matmul is numpy's dot, also on the strided halves
+        # of a stacked [f, g] state
+        rng = np.random.default_rng(4)
+        for n in (48, 96, 192):
+            grid = build_grid(n, self.P)
+            scale = 10.0 ** rng.uniform(-8, 3, (30, 1))
+            states = scale * (rng.standard_normal((30, 2 * n))
+                              + 1j * rng.standard_normal((30, 2 * n)))
+            for stack in (states[:, :n], states[:, n:], np.ascontiguousarray(states[:, :n])):
+                assert np.array_equal(grid.norm_coeffs(stack),
+                                      [grid.norm_coeffs(c) for c in stack])
+
+    def test_march_is_the_explicit_loop(self):
+        rng = np.random.default_rng(5)
+        e = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        e /= np.linalg.norm(e, 2)
+        for start in (rng.standard_normal(24) + 0j, np.eye(24, dtype=complex)):
+            want, x = [start], start
+            for _ in range(7):
+                x = e @ x
+                want.append(x)
+            got = list(evolution._march(e, start, 7))
+            assert len(got) == 8
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_trajectory_norms_match_per_state_loop(self):
         p, grid = self.P, build_grid(32, self.P)

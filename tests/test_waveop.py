@@ -330,6 +330,7 @@ class TestIntertwining:
         rows = sorted((r for r in rep["rows"]), key=lambda r: r["n"])
         assert rep["passed"]
         assert rows[-1]["r_sin"] <= 1e-3
+        assert rep["worst"] == max(rows[-1]["r_cos"], rows[-1]["r_sin"])
         # refinement halving drops the residual by at least 4x
         for a, b in zip(rows, rows[1:]):
             assert a["r_cos"] / b["r_cos"] >= 4.0
