@@ -212,13 +212,10 @@ def criterion_exact_identities() -> dict:
         res.append(ev.energy_identity_residual(traj)["max_rel_residual"])
     # velocity recovery + lift-up profile + momentum drift (DNS)
     cfg = dns.DNSConfig(nu=0.05, gamma=0.05, k_f=0.5, n=(16, 16, 16),
-                        epsilon=0.02, seed=11, dt=0.02)
-    st = dns.init_perturbation(cfg)
-    tracker = dns.DiagnosticsTracker(cfg)
-    f0r = tracker.frame(st)
-    for _ in range(200):
-        dns.step_imex(st)
-    fr = tracker.frame(st)
+                        epsilon=0.02, seed=11, dt=0.02, t_end=4.0)
+    run = dns.run_simulation(cfg, sample_every=200, early_exit=False)
+    f0r, fr = run["tracker"].frames
+    t = run["final_state"].t
     drift = max(abs(fr.a1 - f0r.a1), abs(fr.a2 - f0r.a2), abs(fr.a3 - f0r.a3))
     checks = [conservation_check(suite["conservation_drift"]),
               _check("dissp residual ratio, dt 0.008/0.004", _ratio(res[0], res[1]), ">=", 10.0),
@@ -227,10 +224,10 @@ def criterion_exact_identities() -> dict:
                      max(f0r.recovery_residual, fr.recovery_residual), "<=", 1e-12),
               _check("lift-up profile residual",
                      max(f0r.liftup_residual, fr.liftup_residual), "<=", 1e-12),
-              _check("mean momentum drift", drift, "<=", 1e-10 * st.t)]
+              _check("mean momentum drift", drift, "<=", 1e-10 * t)]
     return _record(
         "5 exact discrete identities (L4, dissp residual order, recovery, lift-up, momentum)",
-        checks, dissp_residuals=res, dns_t=st.t)
+        checks, dissp_residuals=res, dns_t=t)
 
 
 # -- 6: alpha = 1 bounds ---------------------------------------------------------

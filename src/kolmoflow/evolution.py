@@ -42,6 +42,7 @@ from .spectral import (
     assemble_L1,
     assemble_mode_operators,
     build_grid,
+    helmholtz_inverse,
     multiplication_matrix,
 )
 from .pseudospectra import PsiResult, _golden_refine
@@ -218,8 +219,7 @@ def coupled_generators(params: ModeParams, grid: FourierGrid
     eye = np.eye(grid.n)
     a_l = mode_l.dense() + params.nu * kappa2 * eye
     a_h = mode_h.dense() + params.nu * kappa2 * eye
-    n = grid.wavenumbers
-    hinv = 1.0 / (params.alpha**2 + n**2)
+    hinv = helmholtz_inverse(params.alpha, grid)
     cos_mat = OperatorMatrix(multiplication_matrix("cos", grid.n)).dense()
     coupling = (1j * params.k3 / params.k_f**3) * (params.gamma / params.nu) * (
         cos_mat * hinv[None, :])
@@ -383,7 +383,7 @@ def energy_identity_residual(traj: Trajectory) -> dict:
     if p.alpha <= 1.0:
         raise ConfigurationError("energy identity path assumes alpha > 1")
     n = grid.wavenumbers
-    hinv = 1.0 / (p.alpha**2 + n**2)
+    hinv = helmholtz_inverse(p.alpha, grid)
     t = traj.times
     h = t[1] - t[0]
     f = traj.f_states
@@ -423,8 +423,7 @@ def alpha1_generator(nu: float, beta: float, grid: FourierGrid) -> np.ndarray:
     """Dense generator A with d/dt f = -A f for the alpha=1 mode equation
     f' = -nu f + L1 u, u = (I - (1-d^2)^(-1)) f."""
     l1 = assemble_L1(nu, beta, grid).dense()
-    n = grid.wavenumbers
-    m = 1.0 - 1.0 / (1.0 + n.astype(float) ** 2)
+    m = 1.0 - helmholtz_inverse(1.0, grid)
     return nu * np.eye(grid.n) - l1 * m[None, :]
 
 

@@ -224,7 +224,6 @@ class FourierGrid:
 
     n: int
     delta: float
-    y: np.ndarray = field(repr=False)
     wavenumbers: np.ndarray = field(repr=False)
 
     @property
@@ -273,9 +272,8 @@ def build_grid(n: int, params: ModeParams, alpha: float | None = None) -> Fourie
     """Build a FourierGrid; `alpha` overrides params.alpha for delta."""
     if n % 2 != 0 or n < 16:
         raise ConfigurationError(f"grid size must be even and >= 16, got {n}")
-    y = TWO_PI * np.arange(n) / n
-    wavenumbers = np.arange(-n // 2, n // 2)
-    return FourierGrid(n=n, delta=params.layer_scale(alpha), y=y, wavenumbers=wavenumbers)
+    return FourierGrid(n=n, delta=params.layer_scale(alpha),
+                       wavenumbers=np.arange(-n // 2, n // 2))
 
 
 def _band_index(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,13 +388,6 @@ class OperatorMatrix:
         return cls(ab)
 
 
-def _main_diagonal(v: np.ndarray) -> np.ndarray:
-    """Band rows (half-bandwidth 1) of diag(v)."""
-    ab = np.zeros((3, len(v)), dtype=complex)
-    ab[1] = v
-    return ab
-
-
 def multiplication_matrix(which: str, n: int) -> np.ndarray:
     """Band rows (half-bandwidth 1) of multiplication by sin(y) or cos(y)
     in the Fourier basis.
@@ -415,12 +406,26 @@ def multiplication_matrix(which: str, n: int) -> np.ndarray:
     return ab
 
 
-def helmholtz_inverse(beta: float, grid: FourierGrid) -> OperatorMatrix:
-    """(beta^2 - d^2/dy^2)^(-1): exactly diagonal 1/(beta^2+n^2)."""
+def helmholtz_inverse(beta: float, grid: FourierGrid) -> np.ndarray:
+    """(beta^2 - d^2/dy^2)^(-1), which is exactly diagonal: its real
+    diagonal 1/(beta^2+n^2). The star weight of the nonlocal operators is
+    1 - this diagonal."""
     if beta <= 0:
-        raise ConfigurationError("helmholtz_inverse requires beta > 0")
-    n = grid.wavenumbers
-    return OperatorMatrix((1.0 / (beta**2 + n**2)).astype(complex)[None, :])
+        raise ConfigurationError(f"(beta^2 - d^2)^(-1) requires beta > 0, got {beta}")
+    return 1.0 / (beta**2 + grid.wavenumbers**2)
+
+
+def _shear_operator(diag: np.ndarray, c: complex,
+                    weights: np.ndarray | None = None) -> OperatorMatrix:
+    """diag(diag) + c * S * diag(weights), S multiplication by sin(y): the
+    shape of every mode operator, a viscous diagonal plus the shear, with
+    the nonlocal weight 1 - (beta^2 - d^2)^(-1) on the right where it has
+    one. The diagonal band is added to c * S, so each entry has the bits of
+    that one sum."""
+    sin_b = multiplication_matrix("sin", len(diag))
+    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab[1] = diag
+    return OperatorMatrix(ab + c * (sin_b if weights is None else sin_b * weights[None, :]))
 
 
 def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
@@ -428,10 +433,8 @@ def assemble_N_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     """N_lambda w = i(alpha/nu)(sin y - lambda) w - nu w''."""
     a = params.alpha if alpha is None else alpha
     nu = params.nu
-    n = grid.wavenumbers
-    ab = (_main_diagonal((1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2)
-          + (1j * a / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix(ab)
+    c = 1j * a / nu
+    return _shear_operator(c * (-lam) + nu * grid.wavenumbers.astype(complex) ** 2, c)
 
 
 def assemble_L_lambda(params: ModeParams, lam: float, grid: FourierGrid,
@@ -450,22 +453,14 @@ def assemble_L_lambda(params: ModeParams, lam: float, grid: FourierGrid,
     a = params.alpha if alpha is None else alpha
     b = params.beta if beta is None else beta
     nu = params.nu
-    n = grid.wavenumbers
-    visc = nu * n.astype(complex) ** 2
+    visc = nu * grid.wavenumbers.astype(complex) ** 2
     c = 1j * a / nu
-    sin_b = multiplication_matrix("sin", grid.n)
     if u_form:
         if b <= 1:
             raise ConfigurationError(f"u-form requires beta > 1, got {b}")
-        bt = np.sqrt(b**2 - 1.0)
-        hinv = 1.0 / (bt**2 + n**2)
-        ab = _main_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b
-        return OperatorMatrix(ab)
-    if b <= 0:
-        raise ConfigurationError("Llambda requires beta > 0")
-    one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    ab = _main_diagonal(visc + c * (-lam)) + c * (sin_b * one_minus_h[None, :])
-    return OperatorMatrix(ab)
+        hinv = helmholtz_inverse(np.sqrt(b**2 - 1.0), grid)
+        return _shear_operator(visc + c * (-lam) * (1.0 + hinv).astype(complex), c)
+    return _shear_operator(visc + c * (-lam), c, 1.0 - helmholtz_inverse(b, grid))
 
 
 def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -477,25 +472,18 @@ def assemble_mode_operators(params: ModeParams, grid: FourierGrid) -> tuple[Oper
     if params.k1 == 0 and params.k3 == 0:
         raise ConfigurationError("mode operators need (k1,k3) != (0,0)")
     nu, kf = params.nu, params.k_f
-    b = params.beta
     c = 1j * params.k1 * params.gamma / (kf**2 * nu)
-    n = grid.wavenumbers
-    visc = _main_diagonal(nu * kf**2 * n.astype(complex) ** 2)
-    sin_b = multiplication_matrix("sin", grid.n)
-    mode_h = OperatorMatrix(visc + c * sin_b)
-    one_minus_h = 1.0 - 1.0 / (b**2 + n**2)
-    mode_l = OperatorMatrix(visc + c * (sin_b * one_minus_h[None, :]))
-    return mode_l, mode_h
+    visc = nu * kf**2 * grid.wavenumbers.astype(complex) ** 2
+    mode_l = _shear_operator(visc, c, 1.0 - helmholtz_inverse(params.beta, grid))
+    return mode_l, _shear_operator(visc, c)
 
 
 def assemble_L1(nu: float, beta: float, grid: FourierGrid) -> OperatorMatrix:
     """L1 u = nu u'' - nu u - i(beta/nu) sin y u (alpha=1 special operator)."""
     if nu <= 0 or beta == 0:
         raise ConfigurationError("assemble_L1 requires nu > 0 and beta != 0")
-    n = grid.wavenumbers
-    ab = (_main_diagonal(-nu * (n.astype(complex) ** 2 + 1.0))
-          + (-1j * beta / nu) * multiplication_matrix("sin", grid.n))
-    return OperatorMatrix(ab)
+    return _shear_operator(-nu * (grid.wavenumbers.astype(complex) ** 2 + 1.0),
+                           -1j * beta / nu)
 
 
 def mean_projections(grid: FourierGrid) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -522,14 +510,11 @@ class StarMetric:
     def for_beta(cls, beta: float, grid: FourierGrid) -> "StarMetric":
         if beta <= 1:
             raise ConfigurationError("full-space star metric requires beta > 1")
-        n = grid.wavenumbers
-        return cls(weights=1.0 - 1.0 / (beta**2 + n**2))
+        return cls(weights=1.0 - helmholtz_inverse(beta, grid))
 
     @classmethod
     def for_alpha1(cls, grid: FourierGrid) -> "StarMetric":
-        n = grid.wavenumbers
-        w = 1.0 - 1.0 / (1.0 + n.astype(float) ** 2)
-        return cls(weights=w, keep=n != 0)
+        return cls(weights=1.0 - helmholtz_inverse(1.0, grid), keep=grid.wavenumbers != 0)
 
     def transform(self, op: OperatorMatrix) -> OperatorMatrix:
         """W^(1/2) A W^(-1/2) of A restricted to `keep` (when set): the

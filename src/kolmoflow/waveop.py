@@ -629,8 +629,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
             f"the good unknown needs k1 != 0 and k3 != 0, got k1={params.k1}, k3={params.k3}")
     grid = build_grid(n, params)
     op = get_wave_operator(params.alpha, n)
-    h = 2.0 * np.pi / n
-    y = -np.pi + h * np.arange(n)
+    h, y = op.h, op.y_full
     traj = evolve_coupled(params, f0, g0, t_end, dt, grid=grid, store_states=True)
     m = n // 2
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
-from kolmoflow.spectral import ConfigurationError
+from kolmoflow.evolution import coupled_generators
+from kolmoflow.spectral import ConfigurationError, ModeParams, build_grid
 from kolmoflow.dns import (
     DNSConfig,
     DiagnosticsTracker,
@@ -363,6 +365,58 @@ class TestStep:
         with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
             for _ in range(50):
                 step_imex(st)
+
+
+class TestLinearCrossCheck:
+    """With `nonlinear=False` each (kx, kz) block of the DNS evolves the
+    paper's linear mode system on its own: f = Lap v2 = -|k|^2 v2 and
+    g = omega2 = i(kz v1 - kx v3) on the y wavenumbers the 2/3-rule box
+    keeps. The exact solution is expm(t G) of the block generator
+    G = [[-A_L, 0], [C, -A_H]] of `evolution.coupled_generators`, restricted
+    to those wavenumbers. The DNS builds its background terms from the
+    shear alone, so matching G also checks the Helmholtz symbol of ModeL
+    and of the coupling C. The remaining error is the IF-RK3 time error,
+    third order in dt."""
+
+    NU = GAMMA = 0.05
+    K_F = 0.5
+    N = (8, 48, 8)
+    KX, KZ = 1, 1
+
+    def exact_generator(self, keep_y):
+        with pytest.warns(UserWarning, match="nu\\^2"):
+            params = ModeParams(nu=self.NU, gamma=self.GAMMA, k_f=self.K_F,
+                                k1=self.KX, k3=self.KZ)
+        grid = build_grid(32, params)
+        keep = np.abs(grid.wavenumbers) < keep_y
+        a_l, a_h, coupling = coupled_generators(params, grid)
+        sub = np.ix_(keep, keep)
+        zero = np.zeros_like(a_l[sub])
+        return np.block([[-a_l[sub], zero], [coupling[sub], -a_h[sub]]]), grid.wavenumbers[keep]
+
+    def block(self, st, iy):
+        """(f, g) of the (KX, KZ) block on the y wavenumbers iy."""
+        v = st.vhat[:, self.KX, iy % self.N[1], self.KZ]
+        k2 = st.k2[self.KX, iy % self.N[1], self.KZ]
+        return np.concatenate([-k2 * v[1], 1j * (self.KZ * v[0] - self.KX * v[2])])
+
+    def test_dns_block_matches_the_exact_mode_propagator(self):
+        ny = self.N[1]
+        gen, iy = self.exact_generator(keep_y=ny / 3.0)
+        errs = []
+        for dt in (0.0125, 0.00625, 0.003125):
+            cfg = base_config(nu=self.NU, gamma=self.GAMMA, k_f=self.K_F, n=self.N,
+                              epsilon=0.05, seed=2, dt=dt, t_end=1.0, nonlinear=False)
+            st = init_perturbation(cfg)
+            x0 = self.block(st, iy)
+            assert np.linalg.norm(x0) > 0
+            for _ in range(round(1.0 / dt)):
+                step_imex(st)
+            assert st.t == pytest.approx(1.0, abs=1e-12)
+            want = expm(st.t * gen) @ x0
+            errs.append(np.linalg.norm(self.block(st, iy) - want) / np.linalg.norm(want))
+        assert errs[0] / errs[1] >= 7.0 and errs[1] / errs[2] >= 7.0, errs
+        assert errs[2] < 1e-6, errs
 
 
 class TestDiagnostics:

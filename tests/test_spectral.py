@@ -13,6 +13,7 @@ import pytest
 
 import kolmoflow
 
+from kolmoflow.evolution import alpha1_generator, coupled_generators
 from kolmoflow.spectral import (
     TWO_PI,
     ConfigurationError,
@@ -52,6 +53,11 @@ def star_norm(metric, c):
 def to_coeffs(grid, values):
     """Grid values -> coefficients of e^{i n y} in monotone order."""
     return np.fft.fftshift(np.fft.fft(values)) / grid.n
+
+
+def grid_points(grid):
+    """The collocation points y_j = 2*pi*j/N that `to_grid` evaluates at."""
+    return TWO_PI * np.arange(grid.n) / grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,7 @@ class TestModeParams:
 
 def collocation_apply(kind, grid, params, lam=None, u_form=False, nu=None, beta=None):
     """Pointwise physical-space evaluation of each operator on coefficients."""
-    y = grid.y
+    y = grid_points(grid)
     n = grid.wavenumbers
 
     def act(c):
@@ -173,7 +179,6 @@ def test_band_structure():
         assemble_L_lambda(p, 0.2, grid, u_form=True),
         ml, mh,
         assemble_L1(0.01, 0.3, grid),
-        helmholtz_inverse(p.beta, grid),
     ]
     for op in ops:
         assert op.bandwidth <= 2
@@ -181,6 +186,9 @@ def test_band_structure():
         for k in range(3, grid.n):
             assert not np.any(np.diagonal(dense, offset=k))
             assert not np.any(np.diagonal(dense, offset=-k))
+    # the Helmholtz inverse is diagonal by type: one real entry per mode
+    hinv = helmholtz_inverse(p.beta, grid)
+    assert hinv.shape == (grid.n,) and hinv.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +246,7 @@ class TestPointExamples:
             c = np.zeros(32, dtype=complex)
             c[grid.wavenumbers == n_mode] = 1.0
             # phi = (d^2-beta^2)^(-1) e^{iny} = -e^{iny}/(beta^2+n^2)
-            phi = -hinv.matvec(c)
+            phi = -hinv * c
             assert phi[grid.wavenumbers == n_mode] == pytest.approx(
                 -1.0 / (p.beta**2 + n_mode**2), rel=1e-14)
 
@@ -259,7 +267,7 @@ class TestPointExamples:
         c = np.zeros(32, dtype=complex)
         c[grid.wavenumbers == 0] = 1.0
         out = grid.to_grid(op.matvec(c))
-        want = -nu - (1j * beta / nu) * np.sin(grid.y)
+        want = -nu - (1j * beta / nu) * np.sin(grid_points(grid))
         assert np.allclose(out, want, atol=1e-13)
         c = np.zeros(32, dtype=complex)
         c[grid.wavenumbers == 1] = 1.0
@@ -329,7 +337,7 @@ class TestProjections:
         one[grid.wavenumbers == 0] = 1.0
         assert np.allclose(q1.matvec(one), 0.0)
         assert np.allclose(p1.matvec(one), one)
-        siny = to_coeffs(grid, np.sin(grid.y))
+        siny = to_coeffs(grid, np.sin(grid_points(grid)))
         assert np.allclose(q1.matvec(siny), siny, atol=1e-15)
 
     def test_idempotence(self):
@@ -402,6 +410,114 @@ def test_half_period_shift_conjugation():
     s_plus = np.linalg.svd(a_plus, compute_uv=False)[-1]
     s_minus = np.linalg.svd(a_minus, compute_uv=False)[-1]
     assert s_plus == pytest.approx(s_minus, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# bit identity: one builder and one Helmholtz symbol, the bits of the formulas
+# written out in full
+# ---------------------------------------------------------------------------
+
+def _inline_diagonal(v):
+    ab = np.zeros((3, len(v)), dtype=complex)
+    ab[1] = v
+    return ab
+
+
+def _inline_sin_band(n):
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = 0.5j
+    ab[2, :-1] = -0.5j
+    return ab
+
+
+def _inline_cos_dense(n):
+    a = np.zeros((n, n), dtype=complex)
+    i = np.arange(n - 1)
+    a[i, i + 1] = 0.5
+    a[i + 1, i] = 0.5
+    return a
+
+
+def inline_operators(p, lam, grid):
+    """name -> band array or weight vector of each operator of `p`, each
+    diagonal, shear band and Helmholtz symbol 1/(beta^2 + n^2) written out
+    in place, in the operand order the assemblers use."""
+    n = grid.wavenumbers
+    sin_b = _inline_sin_band(grid.n)
+    a, b, nu, kf = p.alpha, p.beta, p.nu, p.k_f
+    c = 1j * a / nu
+    visc = nu * n.astype(complex) ** 2
+    out = {
+        "N_lambda": (_inline_diagonal((1j * a / nu) * (-lam) + nu * n.astype(complex) ** 2)
+                     + (1j * a / nu) * _inline_sin_band(grid.n)),
+        "L_lambda": (_inline_diagonal(visc + c * (-lam))
+                     + c * (sin_b * (1.0 - 1.0 / (b**2 + n**2))[None, :])),
+    }
+    if b > 1:
+        bt = np.sqrt(b**2 - 1.0)
+        hinv = 1.0 / (bt**2 + n**2)
+        out["L_lambda u-form"] = (
+            _inline_diagonal(visc + c * (-lam) * (1.0 + hinv).astype(complex)) + c * sin_b)
+        out["star weights"] = 1.0 - 1.0 / (b**2 + n**2)
+    cm = 1j * p.k1 * p.gamma / (kf**2 * nu)
+    visc_m = _inline_diagonal(nu * kf**2 * n.astype(complex) ** 2)
+    out["ModeL"] = visc_m + cm * (sin_b * (1.0 - 1.0 / (b**2 + n**2))[None, :])
+    out["ModeH"] = visc_m + cm * sin_b
+    out["coupling"] = (1j * p.k3 / kf**3) * (p.gamma / nu) * (
+        _inline_cos_dense(grid.n) * (1.0 / (p.alpha**2 + n**2))[None, :])
+    return out
+
+
+def assembled_operators(p, lam, grid):
+    """The same names, from the assemblers and their callers."""
+    mode_l, mode_h = assemble_mode_operators(p, grid)
+    out = {"N_lambda": assemble_N_lambda(p, lam, grid).ab,
+           "L_lambda": assemble_L_lambda(p, lam, grid).ab,
+           "ModeL": mode_l.ab, "ModeH": mode_h.ab,
+           "coupling": coupled_generators(p, grid)[2]}
+    if p.beta > 1:
+        out["L_lambda u-form"] = assemble_L_lambda(p, lam, grid, u_form=True).ab
+        out["star weights"] = StarMetric.for_beta(p.beta, grid).weights
+    return out
+
+
+def assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    # bytes, not values: a +0.0 that became -0.0 fails too
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("p", [
+    ModeParams(nu=0.01, gamma=0.3, k_f=0.5, k1=2, k3=1),     # beta > 1
+    ModeParams(nu=0.02, gamma=-0.4, k_f=0.5, k1=1, k3=-1),   # beta > 1, negative shear
+    ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0),     # beta = 1
+    ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=-1, k3=0),    # beta = 1, negative shear
+], ids=["beta>1", "beta>1,-shear", "beta=1", "beta=1,-shear"])
+@pytest.mark.parametrize("lam", [0.0, 0.37, -0.8])
+def test_operators_have_the_bits_of_the_inline_formulas(p, n, lam):
+    grid = build_grid(n, p)
+    want = inline_operators(p, lam, grid)
+    got = assembled_operators(p, lam, grid)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert_same_bits(got[name], want[name], name)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_alpha1_operators_have_the_bits_of_the_inline_formulas(n):
+    grid = build_grid(n, params_for())
+    k = grid.wavenumbers
+    weights = 1.0 - 1.0 / (1.0 + k.astype(float) ** 2)
+    metric = StarMetric.for_alpha1(grid)
+    assert_same_bits(metric.weights, weights, "alpha=1 star weights")
+    assert np.array_equal(metric.keep, k != 0)
+    for nu, beta in ((0.05, 0.3), (0.01, -0.2)):
+        l1 = (_inline_diagonal(-nu * (k.astype(complex) ** 2 + 1.0))
+              + (-1j * beta / nu) * _inline_sin_band(n))
+        assert_same_bits(assemble_L1(nu, beta, grid).ab, l1, ("L1", nu, beta))
+        gen = nu * np.eye(n) - OperatorMatrix(l1).dense() * weights[None, :]
+        assert_same_bits(alpha1_generator(nu, beta, grid), gen, ("alpha1", nu, beta))
 
 
 def test_multiplication_matrix_rejects_unknown():
