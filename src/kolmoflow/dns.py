@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ConfigurationError, process_map
+from .spectral import ConfigurationError, process_map, step_count
 
 TAIL_FRACTION_LIMIT = 1e-6
 DECAY_ENERGY_RATIO = 1e-8   # x-dependent energy drop that counts as decayed
@@ -469,8 +469,7 @@ def run_simulation(config: DNSConfig, sample_every: int = 25,
     tracker = DiagnosticsTracker(config)
     fr0 = tracker.frame(state)
     e_neq0 = max(fr0.lap_v2_neq**2, 1e-300)
-    v0_h2 = max(fr0.v_h2, 1e-300)
-    steps = int(np.ceil(config.t_end / config.dt - 1e-9))
+    steps = step_count(config.t_end, config.dt)
     outcome = "persisted"
     try:
         for j in range(steps):
@@ -504,11 +503,9 @@ def run_simulation(config: DNSConfig, sample_every: int = 25,
         "rate_neq": float(rate),
         "m0": tracker.m0,
         "m1": tracker.m1,
-        "m0_over_v0": tracker.m0 / v0_h2,
-        "v0_h2": v0_h2,
+        "m0_over_v0": tracker.m0 / max(fr0.v_h2, 1e-300),
         "resolved": resolved,
         "tracker": tracker,
-        "config": config,
         "final_state": state,
     }
 

@@ -19,7 +19,8 @@ the bits it would have if it were redone:
   everything its generator reads (ModeParams, grid size, dt); callers that
   repeat a key do so in consecutive calls, so one entry per kind suffices;
 - a trajectory's states are stacked from `_march`, the one marcher, and
-  normed by one `norm_coeffs` call per channel;
+  normed by one `norm_coeffs` call per channel, and `alpha1_suite` norms
+  its whole ensemble the same way;
 - `alpha1_suite` solves L1 once for all its right-hand sides (the random
   ensemble, then the whole trajectory) and reads <L1^{-1} f, 1> off the
   n = 0 row of the solution.
@@ -44,6 +45,7 @@ from .spectral import (
     build_grid,
     helmholtz_inverse,
     multiplication_matrix,
+    step_count,
 )
 from .pseudospectra import PsiResult, _golden_refine
 
@@ -262,7 +264,7 @@ def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
         return (propagator(-gen, dt),)  # e^{dt * gen}
 
     e, = _last_propagators("block", params, grid, dt, block_step)
-    steps = int(np.ceil(t_end / dt - 1e-12))
+    steps = step_count(t_end, dt)
     times = np.arange(steps + 1) * dt
     x0 = np.concatenate([f0, g0]).astype(complex, copy=False)
     states = np.fromiter(_march(e, x0, steps), np.dtype((complex, 2 * n)), steps + 1)
@@ -446,15 +448,12 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
     rng = np.random.default_rng(seed)
 
     # (i) inverse bounds on a random ensemble, solved as one block of columns
+    # and normed as one stack of rows
     ws = np.array([grid.random_coeffs(rng) for _ in range(n_random)])
     us = _l1_banded_solve(op, ws.T).T
-    up2 = []
-    up1 = []
-    for w, u in zip(ws, us):
-        nw = grid.norm_coeffs(w)
-        up2.append(grid.norm_coeffs(u) * abs(beta) ** (2 / 3) * nu ** (-1 / 3) / nw)
-        u_grid = grid.to_grid(u)
-        up1.append(grid.l1_norm_grid(u_grid) * abs(beta) ** (5 / 6) * nu ** (-2 / 3) / nw)
+    nw = grid.norm_coeffs(ws)
+    up2 = grid.norm_coeffs(us) * abs(beta) ** (2 / 3) * nu ** (-1 / 3) / nw
+    up1 = grid.l1_norm_grid(grid.to_grid(us)) * abs(beta) ** (5 / 6) * nu ** (-2 / 3) / nw
     one = np.zeros(grid.n, dtype=complex)
     one[grid.wavenumbers == 0] = 1.0
     u1 = _l1_banded_solve(op, one)
@@ -462,7 +461,7 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
 
     # (ii) evolve f' = -nu f + L1 u
     gen = alpha1_generator(nu, beta, grid)
-    steps = int(np.ceil(t_end / dt - 1e-12))
+    steps = step_count(t_end, dt)
     times = np.arange(steps + 1) * dt
     e = propagator(gen, dt)
     f0 = grid.random_coeffs(rng, mean_zero=True)
@@ -485,16 +484,13 @@ def alpha1_suite(nu: float, gamma: float, k1: int, n: int = 64,
 
     return {
         "nu": nu, "gamma": gamma, "beta": beta, "n": n,
-        "upb2_ratio_max": float(max(up2)),
-        "upb1_ratio_max": float(max(up1)),
+        "upb2_ratio_max": float(np.max(up2)),
+        "upb1_ratio_max": float(np.max(up1)),
         "lowerb_ratio": float(lower_ratio),
         "conservation_drift": drift,
         "q1_rate": fit_q1.rate,
         "q1_rate_surplus": float(fit_q1.rate - nu),
         "p1_c_hat": c_p1,
-        "times": times,
-        "norm_q1f": traj.norm_q1f,
-        "norm_p1f": traj.norm_p1f,
     }
 
 
@@ -528,7 +524,7 @@ def forced_decay(params: ModeParams, source: ForcingSpec, t_end: float,
         return propagator(a_l, dt), propagator(a_l, dt / 2.0)
 
     e, e2 = _last_propagators("A_L", params, grid, dt, a_l_steps)
-    steps = int(np.ceil(t_end / dt - 1e-12))
+    steps = step_count(t_end, dt)
     times = np.arange(steps + 1) * dt
     f = np.zeros(grid.n, dtype=complex) if f0 is None else np.asarray(f0, complex)
     norm = grid.norm_coeffs

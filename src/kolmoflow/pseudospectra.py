@@ -368,6 +368,17 @@ def _decade_key(alpha: float) -> int:
     return int(np.floor(np.log10(abs(alpha)) + 1e-12))
 
 
+def _fitted_constant(name: str, good: list[dict], envelope: list[float]
+                     ) -> EmpiricalConstants:
+    """The constant of a sweep: its value is the least ratio of the `good`
+    rows, its decade_ratio max/min of `envelope`. np.min and np.max, not
+    the builtins, so that one nan ratio makes both nan and fails the checks
+    that read them."""
+    ratios = [r["ratio"] for r in good]
+    return EmpiricalConstants(name=name, value=float(np.min(ratios)), sweep=good,
+                              decade_ratio=float(np.max(envelope) / np.min(envelope)))
+
+
 def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
                           ) -> tuple[EmpiricalConstants, list[dict]]:
     """Normalized resolvent lower-bound table over a (nu, alpha, lambda[, beta]) sweep.
@@ -421,16 +432,8 @@ def resolvent_bound_sweep(kind: str, nus, alphas, lams, betas=None
     per_decade: dict[int, float] = {}
     for r in good:
         d = _decade_key(r["alpha"])
-        per_decade[d] = min(per_decade.get(d, np.inf), r["ratio"])
-    envelope = list(per_decade.values())
-    decade_ratio = max(envelope) / min(envelope)
-    c_hat = EmpiricalConstants(
-        name=f"C_hat[{kind}]",
-        value=min(r["ratio"] for r in good),
-        sweep=good,
-        decade_ratio=float(decade_ratio),
-    )
-    return c_hat, rows
+        per_decade[d] = np.minimum(per_decade.get(d, np.inf), r["ratio"])
+    return _fitted_constant(f"C_hat[{kind}]", good, list(per_decade.values())), rows
 
 
 def psi_grid(params: ModeParams, n: int | None = None) -> FourierGrid:
@@ -496,12 +499,5 @@ def psi_bound_sweep(sweep_params: list[ModeParams], which: str = "H",
     good = [r for r in rows if r["flag"] == ""]
     if not good:
         raise ConfigurationError("every sweep point hit a scan boundary")
-    ratios = [r["ratio"] for r in good]
-    c_hat = EmpiricalConstants(
-        name=f"c_hat[{which}]",
-        value=min(ratios),
-        sweep=good,
-        decade_ratio=float(max(ratios) / min(ratios)),
-    )
-    return c_hat, rows
+    return _fitted_constant(f"c_hat[{which}]", good, [r["ratio"] for r in good]), rows
 

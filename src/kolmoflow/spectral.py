@@ -39,6 +39,12 @@ class ConfigurationError(ValueError):
     """Invalid grid/parameter configuration."""
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of size dt that reach t_end: ceil(t_end/dt), except that a
+    quotient at most 1e-9 above an integer counts as that integer."""
+    return int(np.ceil(t_end / dt - 1e-9))
+
+
 #: true while process_map fans out, in the caller and in every child, so a
 #: process_map called inside an item runs serially
 _fanning_out = False
@@ -232,8 +238,9 @@ class FourierGrid:
 
     # -- transforms -------------------------------------------------------
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients (monotone order) -> grid values."""
-        return np.fft.ifft(np.fft.ifftshift(coeffs)) * self.n
+        """Coefficients (monotone order) -> grid values, of a vector or of
+        each row of a 2-D stack."""
+        return np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1)) * self.n
 
     # -- inner products ---------------------------------------------------
     def inner_coeffs(self, c: np.ndarray, d: np.ndarray) -> complex:
@@ -251,8 +258,9 @@ class FourierGrid:
         sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
         return _SQRT_TWO_PI * np.sqrt(sq[:, 0, 0])
 
-    def l1_norm_grid(self, values: np.ndarray) -> float:
-        return (TWO_PI / self.n) * np.sum(np.abs(values))
+    def l1_norm_grid(self, values: np.ndarray) -> float | np.ndarray:
+        """The quadrature L1 norm of grid values, or of each row of a stack."""
+        return (TWO_PI / self.n) * np.sum(np.abs(values), axis=-1)
 
     def random_coeffs(self, rng: np.random.Generator, mean_zero: bool = False) -> np.ndarray:
         """Band-limited (|n| <= N/2-2) complex Gaussian coefficients.

@@ -257,7 +257,7 @@ class WaveOperator:
         self._install_tables(
             np.array([phi1 for phi1, _ in nodes]),
             {name: np.array([getattr(cf, name) for _, cf in nodes])
-             for name in ("ii", "a", "b", "j0", "j1", "a1", "b1", "rho")},
+             for name in ("a", "b", "j0", "j1", "a1", "b1", "rho")},
         )
 
     def _install_tables(self, phi1_table: np.ndarray, coeff: dict) -> None:
@@ -675,7 +675,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         res = dg1 + params.nu * kappa2 * g1 + hg1 - rhss[i]
         mm = mask & mok
         res_max = max(res_max, _masked_norm(res, mm, h) / fnorms[i])
-    out = {"residual": float(res_max), "n": n, "dt": dt,
+    out = {"residual": float(res_max),
            "flagged_fraction": float(1.0 - np.mean([m.mean() for m in masks]))}
     if fit_t_end is not None:
         fit_dt = max(dt, fit_t_end / 400.0)

@@ -17,6 +17,7 @@ from kolmoflow.spectral import (
     assemble_L1,
     assemble_mode_operators,
     build_grid,
+    step_count,
 )
 from kolmoflow.pseudospectra import compute_psi, psi_for_params
 from kolmoflow.evolution import (
@@ -132,6 +133,15 @@ class TestEvolveCoupled:
         den = np.linalg.norm(g_want)
         assert np.linalg.norm(traj.g_states[-1] - g_want) / den <= 1e-8
         assert np.linalg.norm(traj.f_states[-1] - f_want) <= 1e-10 * den
+
+    def test_step_count_forgives_a_quotient_1e9_above_an_integer(self):
+        # t_end/dt = 4 + 5e-10 is 4 steps, as in the DNS; 4 + 1e-8 is 5
+        p = self.params()
+        grid = build_grid(32, p)
+        f0 = grid.random_coeffs(RNG)
+        for t_end, steps in ((1.0 + 1.25e-10, 4), (1.0 + 2.5e-9, 5)):
+            traj = evolve_coupled(p, f0, f0, t_end, 0.25, grid=grid)
+            assert len(traj.times) == steps + 1 == step_count(t_end, 0.25) + 1
 
     def test_star_contraction_along_modeL_flow(self):
         p = self.params()
@@ -422,6 +432,35 @@ class TestReuseIsBitIdentical:
             for stack in (states[:, :n], states[:, n:], np.ascontiguousarray(states[:, :n])):
                 assert np.array_equal(grid.norm_coeffs(stack),
                                       [grid.norm_coeffs(c) for c in stack])
+
+    def test_grid_values_and_l1_norms_of_a_stack_are_row_by_row(self):
+        rng = np.random.default_rng(8)
+        for n in (48, 64, 96):
+            grid = build_grid(n, self.P)
+            block = rng.standard_normal((20, 2 * n)) + 1j * rng.standard_normal((20, 2 * n))
+            for stack in (block[:, :n], block.T[:n].T, np.ascontiguousarray(block[:, n:])):
+                values = grid.to_grid(stack)
+                assert np.array_equal(values, [grid.to_grid(c) for c in stack])
+                assert np.array_equal(grid.l1_norm_grid(values),
+                                      [grid.l1_norm_grid(v) for v in values])
+
+    def test_alpha1_inverse_bounds_match_per_sample_loop(self):
+        nu, gamma, n, n_random, seed = 0.003, 0.3, 64, 12, 7
+        out = alpha1_suite(nu=nu, gamma=gamma, k1=1, n=n, n_random=n_random,
+                           t_end=30.0, dt=1.0, seed=seed)
+        grid = build_grid(n, ModeParams(nu=nu, gamma=gamma, k_f=1.0, k1=1, k3=0),
+                          alpha=gamma)
+        rng = np.random.default_rng(seed)
+        up2, up1 = [], []
+        for _ in range(n_random):
+            w = grid.random_coeffs(rng)
+            u = solve_L1(nu, gamma, grid, w)
+            nw = _norm(w)
+            up2.append(_norm(u) * gamma ** (2 / 3) * nu ** (-1 / 3) / nw)
+            l1 = (TWO_PI / n) * np.sum(np.abs(np.fft.ifft(np.fft.ifftshift(u)) * n))
+            up1.append(l1 * gamma ** (5 / 6) * nu ** (-2 / 3) / nw)
+        assert out["upb2_ratio_max"] == max(up2)
+        assert out["upb1_ratio_max"] == max(up1)
 
     def test_march_is_the_explicit_loop(self):
         rng = np.random.default_rng(5)

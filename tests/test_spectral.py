@@ -30,6 +30,7 @@ from kolmoflow.spectral import (
     mean_projections,
     multiplication_matrix,
     process_map,
+    step_count,
 )
 
 RNG = np.random.default_rng(20260809)
@@ -89,6 +90,14 @@ class TestGrid:
             build_grid(15, params_for())
         with pytest.raises(ConfigurationError):
             build_grid(8, params_for())
+
+    def test_step_count(self):
+        # 0.3/0.1 = 2.9999999999999996; 1 + 5e-10 is within 1e-9 of 1
+        assert step_count(0.3, 0.1) == 3
+        assert step_count(300.0, 0.75) == 400
+        assert step_count(1.0 + 5e-10, 1.0) == 1
+        assert step_count(1.0 + 5e-9, 1.0) == 2
+        assert step_count(1.0, 0.3) == 4
 
     def test_parseval(self):
         grid = build_grid(32, params_for())
