@@ -7,7 +7,9 @@ when all of them pass; the other `details` keys are measured values. A
 check whose rule lives in another layer names that function as its op, has
 no bound and carries the layer's verdict. Bounds are pinned here, each
 written once: the CLI runners that restate a criterion's rule call the
-public check builders.
+public check builders. Every sup, least value or spread a check reads is
+taken with np.max/np.min, so one nan in it makes it nan and fails the
+check; the builtin max and min drop a nan that does not come first.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def criterion_psi_scaling() -> dict:
         for key, by_gamma in ratios.items():
             if 0.1 in by_gamma and 0.4 in by_gamma:
                 q = _ratio(by_gamma[0.4], by_gamma[0.1])
-                worst = max(worst, q, _ratio(1.0, q))
+                worst = np.max([worst, q, _ratio(1.0, q)])
         checks += [_check(f"{which} c_hat", c_hat.value, ">", 0),
                    _check(f"{which} worst quadrupling drift", worst, "<=", 2.0)]
     return _record("2 Psi scaling (sqrt-gamma, factor<=2 under 4x gamma)", checks)
@@ -174,7 +176,7 @@ def criterion_channel_structure() -> dict:
             g0 /= grid.norm_coeffs(g0)
             traj = ev.evolve_coupled(p, f0, g0, t_end, dt, grid=grid)
             rate_f = ev.fit_decay_rate(traj, "f").rate
-            a_env = min(rate_f, rate_g)
+            a_env = np.min([rate_f, rate_g])
             env = np.exp(-a_env * traj.times) * (
                 traj.norm_g[0] + (1 + a_env * traj.times) * traj.norm_f[0] / abs(p.k1))
             ratios.append(float(np.max(traj.norm_g / env)))
@@ -182,7 +184,7 @@ def criterion_channel_structure() -> dict:
     floors = [f_rate_floor_check(f"f rate gamma={g}", a_fit[g], p) for g in (0.1, 0.4)]
     nu_k2 = floors[0]["bound"]   # the same at both gammas
     surplus_ratio = _ratio(a_fit[0.4] - nu_k2, a_fit[0.1] - nu_k2)
-    c_hat = max(g_ratios[0.4][:10])
+    c_hat = np.max(g_ratios[0.4][:10])
     checks = [*floors,
               _sqrt_gamma_check("f rate surplus |r/2 - 1|", surplus_ratio),
               _check("g envelope, trials 11-20", np.max(g_ratios[0.4][10:]), "<=",
@@ -214,14 +216,14 @@ def criterion_exact_identities() -> dict:
     run = dns.run_simulation(cfg, sample_every=200, early_exit=False)
     f0r, fr = run["tracker"].frames
     t = run["final_state"].t
-    drift = max(abs(fr.a1 - f0r.a1), abs(fr.a2 - f0r.a2), abs(fr.a3 - f0r.a3))
+    drift = np.max([abs(fr.a1 - f0r.a1), abs(fr.a2 - f0r.a2), abs(fr.a3 - f0r.a3)])
     checks = [conservation_check(suite["conservation_drift"]),
               _check("dissp residual ratio, dt 0.008/0.004", _ratio(res[0], res[1]), ">=", 10.0),
               _check("dissp residual ratio, dt 0.004/0.002", _ratio(res[1], res[2]), ">=", 10.0),
               _check("velocity recovery residual",
-                     max(f0r.recovery_residual, fr.recovery_residual), "<=", 1e-12),
+                     np.max([f0r.recovery_residual, fr.recovery_residual]), "<=", 1e-12),
               _check("lift-up profile residual",
-                     max(f0r.liftup_residual, fr.liftup_residual), "<=", 1e-12),
+                     np.max([f0r.liftup_residual, fr.liftup_residual]), "<=", 1e-12),
               _check("mean momentum drift", drift, "<=", 1e-10 * t)]
     return _record(
         "5 exact discrete identities (L4, dissp residual order, recovery, lift-up, momentum)",
@@ -236,7 +238,7 @@ def criterion_alpha1_bounds() -> dict:
             for nu in (0.01, 0.003) for beta in (0.1, 0.3)]
     def stab(key):
         vals = [r[key] for r in rows]
-        return _ratio(max(vals), min(vals))
+        return _ratio(np.max(vals), np.min(vals))
     # sqrt-gamma scaling of the Q1 surplus under gamma -> 4 gamma
     hi = ev.alpha1_suite(nu=0.01, gamma=0.4, k1=1, n=96, n_random=5,
                          t_end=300.0, dt=0.75)
@@ -279,7 +281,7 @@ def criterion_wave_operator() -> dict:
     checks = [   # `out` is the n = 256 run, the one with the g1 fits
         _check("intertwining", inter["worst"], "waveop.intertwining_residual", None,
                inter["passed"]),
-        _check("worst bound stability", max(bounds["stability"].values()),
+        _check("worst bound stability", np.max(list(bounds["stability"].values())),
                "waveop.bound_sweep", None, bounds["passed"]),
         _check("good-unknown residual n=256", residuals[256], "<=", 1e-2),
         _check("good-unknown residual n=256 vs n=128", residuals[256], "<", residuals[128]),
@@ -337,7 +339,7 @@ def criterion_forced_decay() -> dict:
         ]
     ratio = _ratio(c_fits[0.4], c_fits[0.1])
     checks.append(_stability_check("C fit stability max(r, 1/r)",
-                                   max(ratio, _ratio(1.0, ratio))))
+                                   np.max([ratio, _ratio(1.0, ratio)])))
     return _record("8 forced decay (X_{c'} verdicts, C stability, homogeneous limit)",
                    checks, c_hat_fits=c_fits, stability_ratio=ratio,
                    homogeneous=hom_rates)

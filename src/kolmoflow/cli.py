@@ -54,8 +54,8 @@ EXIT_UNKNOWN_KEY = 10
 EXIT_TYPE = 11
 EXIT_RANGE = 12
 
-SUBCOMMANDS = ("psi", "resolvent-sweep", "pseudospectrum", "evolve", "alpha1",
-               "waveop", "dns", "threshold", "all-acceptance", "check-report")
+SUBCOMMANDS = ("psi", "resolvent-sweep", "evolve", "alpha1", "waveop", "dns",
+               "threshold", "all-acceptance", "check-report")
 SEEDED = ("evolve", "dns", "threshold")   # the subcommands that draw from --seed
 
 
@@ -93,12 +93,6 @@ SCHEMAS: dict[str, list[dict]] = {
         _typ("alpha", list, required=True),
         _typ("lambda", list, required=True),
         _typ("beta", list, default=[]),
-    ],
-    "pseudospectrum": _MODE_KEYS + [
-        _typ("n", int, default=128, lo=16),
-        _typ("re_lo", float, required=True), _typ("re_hi", float, required=True),
-        _typ("im_lo", float, required=True), _typ("im_hi", float, required=True),
-        _typ("nx", int, default=16, lo=8), _typ("ny", int, default=16, lo=8),
     ],
     "evolve": _MODE_KEYS + [
         _typ("n", int, default=96, lo=16),
@@ -389,22 +383,6 @@ def _run_resolvent_sweep(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     return payload, passed, len(c_hat.sweep) < len(rows), tables
 
 
-def _run_pseudospectrum(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
-    from . import pseudospectra as ps
-    from .spectral import assemble_mode_operators
-    v = cfg.values
-    p = _mode_params(v)
-    _, mh = assemble_mode_operators(p, build_grid(v["n"], p))
-    field = ps.pseudospectrum_grid(
-        mh, (v["re_lo"], v["re_hi"], v["im_lo"], v["im_hi"]), (v["nx"], v["ny"]))
-    payload = {"min_sigma": float(field.sigma.min()),
-               "max_sigma": float(field.sigma.max()),
-               "shape": list(field.sigma.shape)}
-    rows = [(a, b, field.sigma[i, j])
-            for i, b in enumerate(field.im) for j, a in enumerate(field.re)]
-    return payload, True, False, {"pseudospectrum.csv": (["re", "im", "sigma_min"], rows)}
-
-
 def _run_evolve(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
     from . import acceptance
     from . import evolution as ev
@@ -494,7 +472,6 @@ def _run_all_acceptance(cfg: RunConfig) -> tuple[dict, bool, bool, dict]:
 RUNNERS = {
     "psi": _run_psi,
     "resolvent-sweep": _run_resolvent_sweep,
-    "pseudospectrum": _run_pseudospectrum,
     "evolve": _run_evolve,
     "alpha1": _run_alpha1,
     "waveop": _run_waveop,

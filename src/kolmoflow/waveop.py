@@ -528,7 +528,7 @@ def intertwining_residual(omegas: dict, alpha: float, ns: list[int]) -> dict:
                   for i in range(len(seq) - 1))
         final_ok = seq[-1]["r_cos"] <= 1e-3 and seq[-1]["r_sin"] <= 1e-3
         verdicts[label] = bool(dec and final_ok)
-    worst = max(max(r["r_cos"], r["r_sin"]) for r in rows if r["n"] == max(ns))
+    worst = np.max([[r["r_cos"], r["r_sin"]] for r in rows if r["n"] == max(ns)])
     return {"rows": rows, "verdicts": verdicts, "worst": worst,
             "passed": all(verdicts.values())}
 
@@ -550,9 +550,10 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
 
     Per bound the listed ratio is (left side)/(right side with C := 1), the
     fitted constant is the ensemble sup, and the cross-alpha stability is
-    max/min of the per-alpha fits. Derivatives of masked outputs use local
-    4th-order stencils; stencil cells touching the mask are excluded
-    (masked-endpoint contamination is flagged, not averaged in).
+    max/min of the per-alpha fits; a nan ratio makes both nan, which fails.
+    Derivatives of masked outputs use local 4th-order stencils; stencil
+    cells touching the mask are excluded (masked-endpoint contamination is
+    flagged, not averaged in).
 
     Both the probe band and the grid scale with alpha: the extremizers of
     the alpha-uniform bounds live at the critical-layer scale 1/alpha, so a
@@ -578,31 +579,31 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
 
             d1, m1 = op.apply_D1(w)
             sin_d1 = np.sin(y) * d1
-            fits["D1.1"] = max(fits["D1.1"],
-                               alpha * _masked_norm(sin_d1, m1, h) / nw)
+            fits["D1.1"] = np.maximum(fits["D1.1"],
+                                      alpha * _masked_norm(sin_d1, m1, h) / nw)
             dsin_d1, mok = fd_derivative(sin_d1, m1, h)
-            fits["D1.2"] = max(fits["D1.2"],
-                               _masked_norm(dsin_d1, mok, h) / (nw + ndw / alpha))
+            fits["D1.2"] = np.maximum(fits["D1.2"],
+                                      _masked_norm(dsin_d1, mok, h) / (nw + ndw / alpha))
             d1_d2w, m2 = op.apply_D1(d2w)
             comm = np.sin(y) * d1_d2w
             d2_sin_d1, mok2 = fd_derivative(sin_d1, m1, h, order=2)
             mc = m2 & mok2
-            fits["estD1"] = max(fits["estD1"],
-                                _masked_norm(comm - d2_sin_d1, mc, h)
-                                / (alpha * nw + ndw))
+            fits["estD1"] = np.maximum(fits["estD1"],
+                                       _masked_norm(comm - d2_sin_d1, mc, h)
+                                       / (alpha * nw + ndw))
 
             d2v, m3 = op.apply_D2(w)
             cos_d2 = np.cos(y) * d2v
-            fits["D2.1"] = max(fits["D2.1"],
-                               alpha * _masked_norm(cos_d2, m3, h) / nw)
+            fits["D2.1"] = np.maximum(fits["D2.1"],
+                                      alpha * _masked_norm(cos_d2, m3, h) / nw)
             dcos_d2, mok3 = fd_derivative(cos_d2, m3, h)
-            fits["D6"] = max(fits["D6"],
-                             _masked_norm(dcos_d2, mok3, h) / (nw + ndw / alpha))
+            fits["D6"] = np.maximum(fits["D6"],
+                                    _masked_norm(dcos_d2, mok3, h) / (nw + ndw / alpha))
         per_alpha[alpha] = fits
     stability = {}
     for key in ("D1.1", "D1.2", "estD1", "D2.1", "D6"):
         vals = [per_alpha[a][key] for a in alphas]
-        stability[key] = max(vals) / min(vals)
+        stability[key] = np.max(vals) / np.min(vals)
     return {"per_alpha": per_alpha, "stability": stability,
             "passed": all(v <= 3.0 for v in stability.values())}
 
@@ -674,7 +675,7 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         hg1 = -params.nu * params.k_f**2 * lap_g1 + scale * np.sin(y) * g1
         res = dg1 + params.nu * kappa2 * g1 + hg1 - rhss[i]
         mm = mask & mok
-        res_max = max(res_max, _masked_norm(res, mm, h) / fnorms[i])
+        res_max = np.maximum(res_max, _masked_norm(res, mm, h) / fnorms[i])
     out = {"residual": float(res_max),
            "flagged_fraction": float(1.0 - np.mean([m.mean() for m in masks]))}
     if fit_t_end is not None:
@@ -685,10 +686,8 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
         for f_c, g_c in zip(traj2.f_states, traj2.g_states):
             g1 = corrected(to_wave_grid(f_c), to_wave_grid(g_c))[0]
             norms_g1.append(_grid_norm(g1, h))
-        zeros = np.zeros_like(traj2.times)
-        synth = Trajectory(times=traj2.times, norm_f=np.array(norms_g1),
-                           norm_g=np.array(norms_g1), norm_q1f=zeros,
-                           norm_p1f=zeros, norm_dyf=zeros, params=params, grid=grid)
+        synth = Trajectory(times=traj2.times, params=params, grid=grid,
+                           norm_g=np.array(norms_g1))
         fit_pure = fit_decay_rate(synth, "g")
         fit_pref = fit_decay_rate(synth, "g", prefactor=True)
         out["g1_fit_pure_residual"] = fit_pure.residual

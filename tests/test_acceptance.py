@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,98 @@ def test_a_nan_ratio_fails_criterion_1(monkeypatch):
     assert np.isnan(c_hat.value) and np.isnan(c_hat.decade_ratio)
     checks = acc.resolvent_checks("Nlambda", c_hat)
     assert [c["passed"] for c in checks] == [False, False]
+
+
+# A nan in a sup, least value or spread that a check reads fails that check,
+# wherever in the list it comes; the builtin max and min would drop it.
+
+def _failed(rec) -> list[str]:
+    return [c["name"] for c in rec["details"]["checks"] if not c["passed"]]
+
+
+def test_a_nan_ratio_is_criterion_2s_worst_drift(monkeypatch):
+    def sweep(params, which, scan_count):   # the second mode's gamma = 0.4 ratio is nan
+        rows = [{"nu": 0.01, "k_f": 1.0, "k1": k1, "k3": 0, "gamma": g,
+                 "ratio": np.nan if (k1, g) == (2, 0.4) else 1.0}
+                for k1 in (1, 2) for g in (0.1, 0.4)]
+        return SimpleNamespace(value=1.0), rows
+
+    monkeypatch.setattr(acc.ps, "psi_bound_sweep", sweep)
+    rec = acc.criterion_psi_scaling()
+    drifts = [c for c in rec["details"]["checks"] if "drift" in c["name"]]
+    assert len(drifts) == 3
+    assert all(np.isnan(c["value"]) for c in drifts)
+    assert _failed(rec) == [c["name"] for c in drifts]
+
+
+@pytest.mark.parametrize("where", ["third trial's g norms", "g-channel rate"])
+def test_a_nan_fails_criterion_4s_envelope(monkeypatch, where):
+    gammas = []
+
+    def evolve(p, f0, g0, t_end, dt, grid):
+        gammas.append(p.gamma)
+        times = np.linspace(0.0, t_end, 50)
+        norm_g = np.exp(-times)
+        if where == "third trial's g norms" and gammas.count(0.4) == 4:
+            norm_g = np.full_like(times, np.nan)   # after the autonomous run
+        return SimpleNamespace(times=times, norm_f=np.exp(-times), norm_g=norm_g)
+
+    def fit(traj, channel, **_):
+        return SimpleNamespace(rate=np.nan if (where, channel) == ("g-channel rate", "g")
+                               else 1.0)
+
+    monkeypatch.setattr(acc.ev, "evolve_coupled", evolve)
+    monkeypatch.setattr(acc.ev, "fit_decay_rate", fit)
+    rec = acc.criterion_channel_structure()
+    assert np.isnan(rec["details"]["g_envelope_C"])
+    assert "g envelope, trials 11-20" in _failed(rec)
+
+
+def test_a_nan_dns_frame_fails_criterion_5(monkeypatch):
+    residuals = iter([1e-4, 1e-6, 1e-8])
+    frame = {"a1": 0.0, "a2": 0.0, "a3": 0.0, "recovery_residual": 0.0,
+             "liftup_residual": 0.0}
+    last = {**frame, "a3": np.nan, "recovery_residual": np.nan, "liftup_residual": np.nan}
+    run = {"tracker": SimpleNamespace(frames=[SimpleNamespace(**frame),
+                                              SimpleNamespace(**last)]),
+           "final_state": SimpleNamespace(t=4.0)}
+    monkeypatch.setattr(acc.ev, "alpha1_suite", lambda **_: {"conservation_drift": 0.0})
+    monkeypatch.setattr(acc.ev, "evolve_coupled", lambda *args, **kwargs: None)
+    monkeypatch.setattr(acc.ev, "energy_identity_residual",
+                        lambda traj: {"max_rel_residual": next(residuals)})
+    monkeypatch.setattr(acc.dns, "run_simulation", lambda cfg, **_: run)
+    rec = acc.criterion_exact_identities()
+    assert _failed(rec) == ["velocity recovery residual", "lift-up profile residual",
+                            "mean momentum drift"]
+
+
+def test_a_nan_ratio_fails_criterion_6s_stability(monkeypatch):
+    upb2 = iter([1.0, np.nan, 1.0, 1.0])   # the second of the four main suites
+
+    def suite(nu, gamma, n_random, **_):
+        return {"nu": nu, "gamma": gamma,
+                "upb2_ratio_max": next(upb2) if n_random == 20 else 1.0,
+                "upb1_ratio_max": 1.0, "lowerb_ratio": 1.0, "p1_c_hat": 1.0,
+                "q1_rate": 1.0, "q1_rate_surplus": np.sqrt(gamma)}
+
+    monkeypatch.setattr(acc.ev, "alpha1_suite", suite)
+    rec = acc.criterion_alpha1_bounds()
+    assert _failed(rec) == ["UpB2 stability"]
+
+
+def test_a_nan_stability_is_criterion_7s_worst(monkeypatch):
+    monkeypatch.setattr(acc.wv, "intertwining_residual",
+                        lambda *args, **kwargs: {"worst": 1e-5, "passed": True})
+    monkeypatch.setattr(acc.wv, "bound_sweep", lambda *args, **kwargs: {
+        "stability": {"D1.1": 1.0, "D1.2": np.nan}, "passed": False})
+    monkeypatch.setattr(acc.wv, "get_wave_operator", lambda *args: None)
+    monkeypatch.setattr(acc.wv, "good_unknown_check", lambda p, f0, g0, n, **_: {
+        "residual": 1e-3 / n, "g1_fit_pure_residual": 0.0, "g1_fit_prefactor_residual": 1.0})
+    rec = acc.criterion_wave_operator()
+    stability = next(c for c in rec["details"]["checks"]
+                     if c["name"] == "worst bound stability")
+    assert np.isnan(stability["value"])
+    assert _failed(rec) == ["worst bound stability"]
 
 
 def _criterion_4_details(blas_threads: int) -> bytes:

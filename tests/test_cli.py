@@ -181,6 +181,15 @@ class TestEndToEnd:
         assert err.startswith("configuration error: line 9: unknown key 'method'")
         assert not (tmp_path / "o").exists()
 
+    def test_pseudospectrum_is_not_a_subcommand(self, tmp_path, capsys):
+        # the field over a complex rectangle is library API only
+        with pytest.raises(SystemExit) as exc:
+            main(["pseudospectrum", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "pseudospectrum" in err
+        assert not (tmp_path / "o").exists()
+
     def test_all_acceptance_fast_key_is_unknown(self, tmp_path, capsys):
         # all-acceptance runs every criterion at full size and has no keys
         cfgfile = tmp_path / "acc.cfg"
@@ -311,8 +320,8 @@ class TestSweepPoolAndSeed:
                 "--jobs": "error: unrecognized arguments: --jobs"}[flag] in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("sub", ["psi", "resolvent-sweep", "pseudospectrum", "alpha1",
-                                     "waveop", "all-acceptance", "check-report"])
+    @pytest.mark.parametrize("sub", ["psi", "resolvent-sweep", "alpha1", "waveop",
+                                     "all-acceptance", "check-report"])
     def test_seed_is_refused_where_nothing_is_drawn(self, tmp_path, capsys, monkeypatch,
                                                     sub):
         monkeypatch.setitem(RUNNERS, sub, lambda cfg: pytest.fail("runner ran"))
@@ -403,17 +412,6 @@ class TestOutputFiles:
             if not l.startswith("#")))
         assert len(rows) == 4
         assert all(float(r["sigma_min"]) > 0 and float(r["ratio"]) > 0 for r in rows)
-
-    def test_pseudospectrum_outputs(self, tmp_path):
-        cfgfile = tmp_path / "ps.cfg"
-        cfgfile.write_text("nu = 0.05\ngamma = 0.3\nk_f = 1\nk1 = 1\nk3 = 0\nn = 32\n"
-                           "re_lo = 0\nre_hi = 1\nim_lo = -2\nim_hi = 2\nnx = 8\nny = 8\n")
-        out = tmp_path / "o"
-        assert main(["pseudospectrum", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
-        self.check_outputs(out, ["pseudospectrum.csv", "pseudospectrum_report.json"])
-        lines = (out / "pseudospectrum.csv").read_text().splitlines()
-        assert lines[1] == "re,im,sigma_min"
-        assert len(lines) == 2 + 64
 
 
 class TestDegenerateConfigs:

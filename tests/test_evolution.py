@@ -236,6 +236,15 @@ class TestDecayFit:
         with pytest.raises(Exception):
             fit_decay_rate(synthetic_trajectory(t, np.exp(-t)), "f")
 
+    def test_a_channel_not_computed_is_refused(self):
+        t = np.linspace(0, 10, 200)
+        full = synthetic_trajectory(t, np.exp(-2.0 * t))
+        traj = Trajectory(times=t, params=full.params, grid=full.grid, norm_g=full.norm_g)
+        assert fit_decay_rate(traj, "g").rate == pytest.approx(2.0, abs=1e-6)
+        for channel in ("f", "Q1f", "P1f", "dyf"):
+            with pytest.raises(ConfigurationError, match="not computed"):
+                fit_decay_rate(traj, channel)
+
 
 class TestEnergyIdentity:
     def params(self):

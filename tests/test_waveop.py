@@ -63,6 +63,22 @@ def count_solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def nan_masked_norm(monkeypatch):
+    """nan_masked_norm(k) makes the k-th `_masked_norm` call of the test
+    return nan, as a broken apply or mask would."""
+    def arm(k):
+        calls = []
+        real = waveop._masked_norm
+
+        def patched(*args):
+            calls.append(None)
+            return np.nan if len(calls) == k else real(*args)
+
+        monkeypatch.setattr(waveop, "_masked_norm", patched)
+    return arm
+
+
 def smooth_mode_data(grid, rng, kmax=4):
     c = np.zeros(grid.n, dtype=complex)
     sel = np.abs(grid.wavenumbers) <= kmax
@@ -358,6 +374,14 @@ class TestIntertwining:
             rep = intertwining_residual(omegas, alpha, [128, 256])
             assert rep["passed"], f"alpha={alpha}"
 
+    def test_a_nan_residual_is_the_worst(self, nan_masked_norm):
+        # the 4th call is the finest level's r_sin, the second of its pair
+        nan_masked_norm(4)
+        rep = intertwining_residual({"sin2y": lambda y: np.sin(2 * y)}, 2.0, [64, 128])
+        assert np.isnan(rep["rows"][-1]["r_sin"])
+        assert np.isnan(rep["worst"])
+        assert not rep["passed"]
+
 
 class TestBoundSweep:
     def test_two_alpha_stability(self):
@@ -375,6 +399,14 @@ class TestBoundSweep:
     def test_ensemble_validation(self):
         with pytest.raises(ConfigurationError):
             bound_sweep([2.0], ensemble=5)
+
+    def test_a_nan_ratio_fails_the_sweep(self, nan_masked_norm):
+        # the 7th call is the second profile's D1.2 ratio at alpha = 2
+        nan_masked_norm(7)
+        rep = bound_sweep([2.0, 4.0], n=64, ensemble=20)
+        assert np.isnan(rep["per_alpha"][2.0]["D1.2"])
+        assert np.isnan(rep["stability"]["D1.2"])
+        assert not rep["passed"]
 
 
 class TestGoodUnknown:
@@ -407,6 +439,14 @@ class TestGoodUnknown:
         out = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
         # masked c-points near y in {0, +-pi, +-pi/2} are interpolated+flagged
         assert 0.0 < out["flagged_fraction"] < 0.25
+
+    def test_a_nan_residual_is_the_residual(self, nan_masked_norm):
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+        grid = build_grid(128, p)
+        f0 = smooth_mode_data(grid, np.random.default_rng(4))
+        nan_masked_norm(2)   # the second interior time
+        out = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
+        assert np.isnan(out["residual"])
 
 
 def test_fill_masked_smooth_gap():

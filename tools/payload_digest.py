@@ -58,9 +58,6 @@ RUNS = {
     "resolvent-sweep-Lu": ("resolvent-sweep",
                            "kind = Lu-form\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n"
                            "beta = 2\n"),
-    "pseudospectrum": ("pseudospectrum",
-                       "nu = 0.05\ngamma = 0.3\nk_f = 1\nk1 = 1\nk3 = 0\nn = 32\n"
-                       "re_lo = 0\nre_hi = 1\nim_lo = -2\nim_hi = 2\nnx = 8\nny = 8\n"),
     "evolve": ("evolve", "nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 1\nk_f = 0.5\nn = 48\n"
                          "t_end = 12\ndt = 0.1\n"),
     "alpha1": ("alpha1", "nu = 0.01\ngamma = 0.1, 0.4\nn = 64\n"),
