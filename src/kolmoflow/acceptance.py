@@ -10,6 +10,8 @@ written once: the CLI runners that restate a criterion's rule call the
 public check builders. Every sup, least value or spread a check reads is
 taken with np.max/np.min, so one nan in it makes it nan and fails the
 check; the builtin max and min drop a nan that does not come first.
+Each criterion runs in `spectral.one_blas_thread()`, so its `details` bytes
+do not depend on the BLAS thread count of the environment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .spectral import ModeParams, build_grid
+from .spectral import ModeParams, build_grid, one_blas_thread
 from . import pseudospectra as ps
 from . import evolution as ev
 from . import waveop as wv
@@ -90,6 +92,7 @@ def resolvent_checks(kind: str, c_hat: ps.EmpiricalConstants) -> list[dict]:
 
 # -- 1: resolvent lower bounds ------------------------------------------------
 
+@one_blas_thread()
 def criterion_resolvent_bounds() -> dict:
     nus = [1e-2, 3e-3, 1e-3]
     alphas = [10.0, 100.0, 1000.0]
@@ -107,6 +110,7 @@ def criterion_resolvent_bounds() -> dict:
 
 # -- 2: Psi scaling -------------------------------------------------------------
 
+@one_blas_thread()
 def criterion_psi_scaling() -> dict:
     checks = []
     pairs = {
@@ -134,6 +138,7 @@ def criterion_psi_scaling() -> dict:
 
 # -- 3: Gearhart-Pruss ----------------------------------------------------------
 
+@one_blas_thread()
 def criterion_gearhart_pruss() -> dict:
     # ModeH euclidean; ModeL star; Q1 ModeL at alpha=1, mean-zero star metric
     cases = (("ModeH", "H", ModeParams(nu=0.01, gamma=0.4, k_f=1.0, k1=1, k3=0)),
@@ -153,6 +158,7 @@ def criterion_gearhart_pruss() -> dict:
 
 # -- 4: channel structure -------------------------------------------------------
 
+@one_blas_thread()
 def criterion_channel_structure() -> dict:
     rng = np.random.default_rng(2024)
     a_fit, g_ratios = {}, {}
@@ -196,6 +202,7 @@ def criterion_channel_structure() -> dict:
 
 # -- 5: exact discrete identities -----------------------------------------------
 
+@one_blas_thread()
 def criterion_exact_identities() -> dict:
     # (L4) conservation
     suite = ev.alpha1_suite(nu=0.01, gamma=0.1, k1=1, n=64, n_random=5,
@@ -232,6 +239,7 @@ def criterion_exact_identities() -> dict:
 
 # -- 6: alpha = 1 bounds ---------------------------------------------------------
 
+@one_blas_thread()
 def criterion_alpha1_bounds() -> dict:
     rows = [ev.alpha1_suite(nu=nu, gamma=beta, k1=1, n=96, n_random=20,
                             t_end=5.0 / nu, dt=5.0 / nu / 2000.0)
@@ -262,6 +270,7 @@ def criterion_alpha1_bounds() -> dict:
 
 # -- 7: wave operator -----------------------------------------------------------
 
+@one_blas_thread()
 def criterion_wave_operator() -> dict:
     inter = wv.intertwining_residual(
         {"sin2y": lambda y: np.sin(2 * y),
@@ -296,6 +305,7 @@ def criterion_wave_operator() -> dict:
 
 # -- 8: forced decay ------------------------------------------------------------
 
+@one_blas_thread()
 def criterion_forced_decay() -> dict:
     # one fixed smooth 3-component divergence probe shared across the gamma
     # sweep: with high-wavenumber probes the non-normal gain grows with the
@@ -347,6 +357,7 @@ def criterion_forced_decay() -> dict:
 
 # -- 9: DNS qualitative threshold -------------------------------------------------
 
+@one_blas_thread()
 def criterion_dns_threshold() -> dict:
     # fitted c' from the linear Psi suite at the DNS parameters
     p_lin = ModeParams(nu=0.05, gamma=0.05, k_f=0.5, k1=1, k3=0)

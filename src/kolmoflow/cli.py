@@ -13,7 +13,9 @@ file. Verdict failures exit 1, numerical-resolution flags exit 3.
 
 Subcommands that fan out (`threshold` over its sweep cells, `waveop` over
 wave-operator c-nodes) do so through `spectral.process_map`, over every
-CPU in the affinity mask; there is no option for it. `evolve`
+CPU in the affinity mask; there is no option for it. `main` runs in
+`spectral.one_blas_thread()`: one BLAS thread per process, whatever the
+environment sets, so the bytes written do not depend on it. `evolve`
 advances the coupled mode system by its exact block exponential and has no
 method key, so a config that still sets `method` is rejected as an unknown
 key (exit 10). `all-acceptance` has no keys: it runs every criterion at full
@@ -44,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spectral import ConfigurationError, ModeParams, build_grid
+from .spectral import ConfigurationError, ModeParams, build_grid, one_blas_thread
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -502,6 +504,7 @@ def run_subcommand(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="kolmoflow",

@@ -275,7 +275,7 @@ def evolve_coupled(params: ModeParams, f0: np.ndarray, g0: np.ndarray,
 # semigroup curve and Gearhart-Pruss verdict
 # ---------------------------------------------------------------------------
 
-def semigroup_norm_curve(op: OperatorMatrix | np.ndarray, times: np.ndarray,
+def semigroup_norm_curve(op: OperatorMatrix, times: np.ndarray,
                          psi: PsiResult, metric: StarMetric | None = None) -> dict:
     """Table of ||e^(-tA)|| with the sharp-bound verdict on a uniform grid
     from 0 (as np.linspace(0, T, k) gives), walked by powers of one step.
@@ -290,7 +290,7 @@ def semigroup_norm_curve(op: OperatorMatrix | np.ndarray, times: np.ndarray,
     Norms are in the star metric when `metric` is given and euclidean
     otherwise; pass the metric psi was scanned in (ModeL needs the star one).
     """
-    a = op.dense() if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    a = op.dense()
     times = np.asarray(times, dtype=float)
     if not (len(times) > 2 and times[0] == 0.0
             and np.allclose(np.diff(times), times[1] - times[0])):

@@ -12,6 +12,10 @@ values via the quadrature weight 2*pi/N.
 `process_map` is the one fan-out of the package: the wave-operator build
 maps its c-nodes through it and the threshold sweep its cells, both over
 every CPU in the affinity mask, with the caller as one of the workers.
+`one_blas_thread` holds the BLAS to one thread inside a block; the CLI and
+each acceptance criterion run in it, so BLAS threads do not compete with
+that fan-out and the bytes they write do not depend on the OpenBLAS thread
+setting of the environment.
 """
 
 from __future__ import annotations
@@ -153,6 +157,66 @@ def _serve_claims(fn, items, claims: int, reply_w: int) -> None:
         sys.stdout.flush()
         sys.stderr.flush()
         os._exit(code)
+
+
+#: (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy
+#: ship: the scipy-openblas wheels (numpy >= 2.0, scipy >= 1.13), then the
+#: older wheels' ILP64 libopenblas64_ and plain or distro libopenblas
+_OPENBLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _openblas_paths() -> list[str]:
+    """Path of every library with "openblas" in its file name that
+    /proc/self/maps lists; empty where there is no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            rows = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    return sorted({row[5].rstrip() for row in rows
+                   if len(row) == 6 and "openblas" in os.path.basename(row[5])})
+
+
+def _loaded_openblas() -> list:
+    """(get, set) of every OpenBLAS this process has loaded, opened with
+    RTLD_NOLOAD so no library is loaded here: the first pair of
+    `_OPENBLAS_SYMBOLS` each library exports."""
+    import ctypes
+
+    found = []
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get, put in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, each call) with every OpenBLAS
+    loaded in this process set to one thread, and give each its own count
+    back on exit, so nested use is safe. A library loaded inside the block
+    is not set, and where none is found the block runs unchanged."""
+    libs = _loaded_openblas()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), old in zip(libs, before):
+            put(old)
 
 
 @dataclass(frozen=True)
@@ -303,9 +367,10 @@ class OperatorMatrix:
     solve_banded reads `ab` as it is, and the sigma_min kernel builds its
     Gram band M^*M and its Jordan-Wielandt band from its rows; nothing
     re-packs diagonals per call. `diags` is a derived view. The band array
-    is all an operator holds: `OperatorMatrix(ab)` wraps one, `from_dense`
-    packs a dense matrix. Instances are treated as immutable after assembly
-    and are safe to share across workers.
+    is all an operator holds: `OperatorMatrix(ab)` wraps one, and
+    `restricted` cuts one from another without a dense detour. Instances
+    are treated as immutable after assembly and are safe to share across
+    workers.
     """
 
     ab: np.ndarray
@@ -334,11 +399,6 @@ class OperatorMatrix:
         for v in out.values():
             v.flags.writeable = False
         return out
-
-    @property
-    def bandwidth(self) -> int:
-        live = [abs(self.b - r) for r in range(2 * self.b + 1) if np.any(self.ab[r])]
-        return max(live, default=0)
 
     def dense(self) -> np.ndarray:
         inside, rows, cols = _band_index(self.b, self.n)
@@ -375,25 +435,24 @@ class OperatorMatrix:
         return OperatorMatrix(ab)
 
     def restricted(self, keep: np.ndarray) -> "OperatorMatrix":
-        """Restrict to the index subset `keep` (boolean mask). Dropping
-        rows and columns never widens the band."""
-        a = self.dense()[np.ix_(keep, keep)]
-        return OperatorMatrix.from_dense(a, bandwidth=self.bandwidth)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None) -> "OperatorMatrix":
-        """Band array of `a`, as narrow as its nonzero diagonals allow; a
-        caller that knows `a` has no entry beyond offset `bandwidth` passes
-        it to skip scanning the rest."""
-        a = np.asarray(a, dtype=complex)
-        m = a.shape[0]
-        bw = m - 1 if bandwidth is None else min(bandwidth, m - 1)
-        b = max((abs(k) for k in range(-bw, bw + 1) if np.any(np.diagonal(a, k))),
-                default=0)
-        inside, rows, cols = _band_index(b, m)
-        ab = np.zeros((2 * b + 1, m), dtype=complex)
-        ab[inside] = a[rows, cols]
-        return cls(ab)
+        """Restrict to the index subset `keep` (boolean mask), on the band:
+        A[i, j] with i and j kept moves to offset pos(i) - pos(j), and the
+        new half-bandwidth is the largest |offset| of a nonzero entry, so
+        dropping rows and columns never widens the band and a signed zero
+        never does. Every other slot is +0.0; work and memory are O(b n)."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.n,):
+            raise ConfigurationError(f"keep must be a boolean mask of length {self.n}")
+        pos = np.cumsum(keep) - 1
+        inside, rows, cols = _band_index(self.b, self.n)
+        both = keep[rows] & keep[cols]
+        vals, r, c = self.ab[inside][both], pos[rows[both]], pos[cols[both]]
+        k = r - c
+        b = int(np.abs(k[vals != 0]).max(initial=0))
+        ab = np.zeros((2 * b + 1, np.count_nonzero(keep)), dtype=complex)
+        live = np.abs(k) <= b
+        ab[b + k[live], c[live]] = vals[live]
+        return OperatorMatrix(ab)
 
 
 def multiplication_matrix(which: str, n: int) -> np.ndarray:

@@ -615,9 +615,11 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     g1 = g + (k3/(k1 k_f)) cos y D2(f) should satisfy
     dg1/dt + (nu kappa^2 + ModeH) g1 = (nu k_f k3/k1) [cos y D2, d^2] f.
     The residual is evaluated with 4th-order stencils in t and y on the
-    valid region (masked c-points are cubic-interpolated and flagged), and
-    reported relative to ||f|| + ||g||. A separate longer run fits the g1
-    decay and compares pure-exponential vs (1+at)-prefactor models.
+    valid region, whose complement is reported as `flagged_fraction`, and
+    relative to ||f|| + ||g||; nothing it reads lies on a masked c-point.
+    A separate longer run fits the decay of ||g1|| over the whole grid, so
+    it cubic-interpolates D2(f) across the masked c-points, and compares
+    pure-exponential vs (1+at)-prefactor models.
 
     k3 = 0 leaves no correction to check and k1 = 0 no coupling k3/(k1 k_f),
     so both raise ConfigurationError; otherwise alpha >= sqrt(2)/k_f > 1.
@@ -642,25 +644,19 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     couple = params.k3 / (params.k1 * params.k_f)
     rhs_scale = params.nu * params.k_f * params.k3 / params.k1
 
-    def corrected(f_full, g_full):
-        """(g1, filled D2(f), its mask) on the wave grid."""
-        d2f, mask = op.apply_D2(f_full)
-        d2f_filled = fill_masked(d2f, mask, y)
-        return g_full + couple * np.cos(y) * d2f_filled, d2f_filled, mask
-
     g1s, masks, rhss, fnorms = [], [], [], []
     for f_c, g_c in zip(traj.f_states, traj.g_states):
         f_full = to_wave_grid(f_c)
         g_full = to_wave_grid(g_c)
-        g1, d2f_filled, mask = corrected(f_full, g_full)
+        d2f, mask = op.apply_D2(f_full)
         fnorms.append(_grid_norm(f_full, h) + _grid_norm(g_full, h))
-        g1s.append(g1)
+        g1s.append(g_full + couple * np.cos(y) * d2f)
         # commutator right-hand side
         fpp_full = to_wave_grid(-(grid.wavenumbers**2) * f_c)
         d2_fpp, mask2 = op.apply_D2(fpp_full)
-        cos_d2f = np.cos(y) * d2f_filled
+        cos_d2f = np.cos(y) * d2f
         lap_cos_d2f, mask3 = fd_derivative(cos_d2f, mask, h, order=2)
-        rhs = rhs_scale * (np.cos(y) * fill_masked(d2_fpp, mask2, y) - lap_cos_d2f)
+        rhs = rhs_scale * (np.cos(y) * d2_fpp - lap_cos_d2f)
         masks.append(mask & mask2 & mask3)
         rhss.append(rhs)
     g1s = np.array(g1s)
@@ -684,7 +680,8 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
                                store_states=True)
         norms_g1 = []
         for f_c, g_c in zip(traj2.f_states, traj2.g_states):
-            g1 = corrected(to_wave_grid(f_c), to_wave_grid(g_c))[0]
+            d2f, mask = op.apply_D2(to_wave_grid(f_c))
+            g1 = to_wave_grid(g_c) + couple * np.cos(y) * fill_masked(d2f, mask, y)
             norms_g1.append(_grid_norm(g1, h))
         synth = Trajectory(times=traj2.times, params=params, grid=grid,
                            norm_g=np.array(norms_g1))

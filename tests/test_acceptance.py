@@ -272,8 +272,5 @@ def _criterion_4_details(blas_threads: int) -> bytes:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs 2 CPUs in the affinity mask")
-@pytest.mark.xfail(strict=True, reason=(
-    "the acceptance details depend on the BLAS thread count (ROADMAP Defects); "
-    "direction 16 fixes the count"))
 def test_criterion_4_details_do_not_depend_on_blas_threads():
     assert _criterion_4_details(1) == _criterion_4_details(2)

@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from band_oracle import band_of
 from kolmoflow import evolution
 from kolmoflow.spectral import (
     TWO_PI,
     ConfigurationError,
     ModeParams,
-    OperatorMatrix,
     StarMetric,
     assemble_L1,
     assemble_mode_operators,
@@ -158,9 +158,9 @@ class TestEvolveCoupled:
 class TestSemigroupCurve:
     def test_selfadjoint_diag(self):
         a = np.diag([1.0, 3.0])
-        psi = compute_psi(OperatorMatrix.from_dense(a), 2.0, 32)
+        psi = compute_psi(band_of(a), 2.0, 32)
         assert psi.psi == pytest.approx(1.0, rel=1e-6)
-        out = semigroup_norm_curve(a, np.linspace(0, 5, 11), psi)
+        out = semigroup_norm_curve(band_of(a), np.linspace(0, 5, 11), psi)
         assert out["verdict"]
         assert np.allclose(out["norms"], np.exp(-out["times"])), "||e^{-tA}||=e^{-t}"
 
@@ -170,9 +170,9 @@ class TestSemigroupCurve:
         a = np.array([[1.0, 2.0], [0.0, 2.0]])
         herm = 0.5 * (a + a.T)
         assert np.linalg.eigvalsh(herm).min() >= 0
-        psi = compute_psi(OperatorMatrix.from_dense(a), 4.0, 64)
+        psi = compute_psi(band_of(a), 4.0, 64)
         times = np.linspace(0, 6, 25)
-        out = semigroup_norm_curve(a, times, psi)
+        out = semigroup_norm_curve(band_of(a), times, psi)
         assert out["verdict"]
         # closed form for the hump: |X12| = 2(e^{-t} - e^{-2t}) peaks at ln 2
         t_peak = np.log(2.0)
@@ -193,10 +193,10 @@ class TestSemigroupCurve:
 
     def test_non_uniform_times_rejected(self):
         a = np.diag([1.0, 3.0])
-        psi = compute_psi(OperatorMatrix.from_dense(a), 2.0, 32)
+        psi = compute_psi(band_of(a), 2.0, 32)
         for times in (np.array([0.0, 0.5, 2.0, 3.0]), np.linspace(1.0, 5.0, 9)):
             with pytest.raises(ConfigurationError):
-                semigroup_norm_curve(a, times, psi)
+                semigroup_norm_curve(band_of(a), times, psi)
 
 
 def synthetic_trajectory(times, values, gamma=1.0, k1=1):

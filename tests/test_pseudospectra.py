@@ -8,13 +8,13 @@ import pytest
 from kolmoflow.spectral import (
     ConfigurationError,
     ModeParams,
-    OperatorMatrix,
     StarMetric,
     assemble_L_lambda,
     assemble_mode_operators,
     assemble_N_lambda,
     build_grid,
 )
+from band_oracle import band_of
 import kolmoflow.pseudospectra as ps
 from kolmoflow.pseudospectra import (
     EmpiricalConstants,
@@ -35,7 +35,7 @@ from kolmoflow.pseudospectra import (
 
 
 def diag_op(*values):
-    return OperatorMatrix.from_dense(np.diag(np.asarray(values, dtype=complex)))
+    return band_of(np.diag(np.asarray(values, dtype=complex)))
 
 
 def n_lambda_cell(nu, alpha, n, lam):
@@ -165,7 +165,7 @@ def upper_band_op(n=7, seed=3):
     for k in (0, 1, 2):
         v = rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)
         a += np.diag(v * (k + 1), k)
-    return OperatorMatrix.from_dense(a)
+    return band_of(a)
 
 
 def star_mode_l(lam=0.3):
@@ -211,7 +211,7 @@ def block_pairs_op(pairs, seed):
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = u @ np.diag(pair) @ v.conj().T
-    return OperatorMatrix.from_dense(a)
+    return band_of(a)
 
 
 def spread_pairs(head, seed, n_blocks=64):
@@ -260,7 +260,7 @@ class TestSigmaMinKernel:
         # its eps*||M|| floor
         a = np.diag(np.arange(1.0, 101.0)).astype(complex)
         a[:2, :2] = 1.0
-        op = OperatorMatrix.from_dense(a)
+        op = band_of(a)
         steps = []
         zpbtrf = ps.lapack.zpbtrf
         monkeypatch.setattr(ps.lapack, "zpbtrf",
@@ -284,7 +284,7 @@ class TestSigmaMinKernel:
         rng = np.random.default_rng(7)
         a = sum(np.diag(rng.standard_normal(200 - abs(k)) + 1j * rng.standard_normal(200 - abs(k)), k)
                 for k in range(-2, 3))
-        assert_banded_matches_dense(OperatorMatrix.from_dense(a).shifted(lam))
+        assert_banded_matches_dense(band_of(a).shifted(lam))
 
     def test_pseudospectrum_grid_complex_shifts(self):
         # around the ModeH eigenvalue 0.316 - 39.68i, at n = 128 > DENSE_SVD_MAX
@@ -307,7 +307,7 @@ class TestComputePsi:
     def test_boundary_flagged(self):
         # eigenvalues 1 +- 10i: over [-3, 3] sigma_min falls towards lam = +-10,
         # so the minimum sits at the scan boundary
-        op = OperatorMatrix.from_dense(np.array([[1.0, 10.0], [-10.0, 1.0]]))
+        op = band_of(np.array([[1.0, 10.0], [-10.0, 1.0]]))
         res = compute_psi(op, 3.0, 16)
         assert abs(res.lam_star) == 3.0
         assert not res.converged
@@ -452,7 +452,7 @@ class TestPsiScanEvenness:
     def test_lam_star_is_first_of_mirrored_pair(self):
         # eigenvalues 1 +- 0.02i: the odd grid's minimum sits at lam = 0, and
         # the golden search on [-h, h] starts on a tie and walks to +0.02
-        op = OperatorMatrix.from_dense(np.array([[1.0, 0.02], [-0.02, 1.0]], dtype=complex))
+        op = band_of(np.array([[1.0, 0.02], [-0.02, 1.0]], dtype=complex))
         res = compute_psi(op, 3.0, 65)
         assert res.psi == pytest.approx(1.0, rel=1e-8)
         assert res.lam_star == pytest.approx(-0.02, abs=1e-3)
@@ -482,7 +482,7 @@ class TestPseudospectrumGrid:
         assert (field.sigma >= -1e-15).all()
 
     def test_jordan_block(self):
-        jordan = OperatorMatrix.from_dense(np.array([[0, 1], [0, 0]], dtype=complex))
+        jordan = band_of(np.array([[0, 1], [0, 0]], dtype=complex))
         field = pseudospectrum_grid(jordan, (-0.1, 0.1, -0.1, 0.1), (9, 9))
         center = field.sigma[4, 4]
         assert center == pytest.approx(0.0, abs=1e-12)

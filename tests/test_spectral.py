@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 import kolmoflow
 
+from band_oracle import band_of
 from kolmoflow.evolution import alpha1_generator, coupled_generators
+from kolmoflow.pseudospectra import psi_operator
 from kolmoflow.spectral import (
     TWO_PI,
     ConfigurationError,
@@ -190,7 +193,7 @@ def test_band_structure():
         assemble_L1(0.01, 0.3, grid),
     ]
     for op in ops:
-        assert op.bandwidth <= 2
+        assert band_of(op.dense()).b <= 2
         dense = op.dense()
         for k in range(3, grid.n):
             assert not np.any(np.diagonal(dense, offset=k))
@@ -541,21 +544,54 @@ def test_operator_matrix_restriction_keeps_band():
     keep = grid.wavenumbers != 0
     sub = op.restricted(keep)
     assert sub.n == 31
-    assert sub.bandwidth <= 2
+    assert sub.b == op.b == 1
     dense = op.dense()
     assert np.allclose(sub.dense(), dense[np.ix_(keep, keep)])
 
 
-def test_operator_matrix_restriction_matches_dense_round_trip():
+def test_operator_matrix_restriction_refuses_a_mask_of_another_size():
     p = params_for()
-    grid = build_grid(64, p)
-    op, _ = assemble_mode_operators(p, grid)
-    op = op.shifted(0.4)
-    for keep in (StarMetric.for_alpha1(grid).keep, RNG.random(64) < 0.6):
-        want = OperatorMatrix.from_dense(op.dense()[np.ix_(keep, keep)])
-        got = op.restricted(keep)
-        assert list(got.diags) == list(want.diags)
-        assert all(np.array_equal(got.diags[k], want.diags[k]) for k in want.diags)
+    op, _ = assemble_mode_operators(p, build_grid(32, p))
+    for keep in (np.ones(33, dtype=bool), np.ones(31, dtype=bool), np.arange(32)):
+        with pytest.raises(ConfigurationError, match="boolean mask of length 32"):
+            op.restricted(keep)
+
+
+def test_operator_matrix_restriction_matches_dense_round_trip():
+    # restricting on the band gives the bytes of the dense detour: densify,
+    # cut rows and columns with ix_, pack as narrow as the nonzeros allow
+    for n in (16, 64, 256):
+        p = params_for(k_f=0.5, k1=1, k3=1)
+        grid = build_grid(n, p)
+        mode_l, mode_h = assemble_mode_operators(p, grid)
+        planted = RNG.standard_normal((5, n)) + 1j * RNG.standard_normal((5, n))
+        planted[RNG.random((5, n)) < 0.2] = -0.0
+        planted[RNG.random((5, n)) < 0.2] = 0.0
+        planted[0] = 0.0  # offset 2 holds only signed zeros
+        planted[0, ::5] = -0.0
+        ops = (mode_l, mode_h, assemble_L_lambda(p, 0.3, grid).shifted(0.4),
+               OperatorMatrix(planted))
+        keeps = (grid.wavenumbers != 0, RNG.random(n) < 0.2, RNG.random(n) < 0.6,
+                 np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+        for op in ops:
+            for keep in keeps:
+                want = band_of(op.dense()[np.ix_(keep, keep)])
+                got = op.restricted(keep)
+                assert got.ab.shape == want.ab.shape
+                assert got.ab.tobytes() == want.ab.tobytes()
+
+
+def test_q1l_restriction_allocates_no_dense_matrix():
+    # a dense 2047 x 2047 complex matrix alone is 64 MiB
+    p = ModeParams(nu=1e-4, gamma=0.4, k_f=1, k1=1, k3=0)
+    tracemalloc.start()
+    try:
+        op, _ = psi_operator(p, "Q1L", n=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n == 2047
+    assert peak < 4 * 2**20
 
 
 def test_operator_matrix_block_matvec():
@@ -571,8 +607,9 @@ def test_operator_matrix_band_layout():
     # offsets -1 .. 2: half-bandwidth 2 with an all-zero offset -2 row
     a = sum(np.diag(RNG.standard_normal(9 - abs(k)) + 1j * RNG.standard_normal(9 - abs(k)), k)
             for k in (-1, 0, 1, 2))
-    op = OperatorMatrix.from_dense(a)
-    assert op.ab.shape == (5, 9) and (op.b, op.n, op.bandwidth) == (2, 9, 2)
+    op = band_of(a)
+    assert op.ab.shape == (5, 9) and (op.b, op.n) == (2, 9)
+    assert np.array_equal(op.dense(), a)
     for r in range(5):
         for j in range(9):
             i = j + r - 2
@@ -703,3 +740,42 @@ class TestProcessMap:
         assert out["pids"] == [out["me"]]
         assert out["order"] == list(range(9))
         assert not out["mp"]
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread
+# ---------------------------------------------------------------------------
+
+BLAS_THREADS_PROBE = """
+import json
+from kolmoflow import cli, spectral  # cli loads numpy's BLAS
+import scipy.linalg  # and scipy's
+counts = lambda: [get() for get, _ in spectral._loaded_openblas()]
+out = {"paths": spectral._openblas_paths(), "before": counts()}
+with spectral.one_blas_thread():
+    out["inside"] = counts()
+    with spectral.one_blas_thread():
+        out["nested"] = counts()
+    out["after_nested"] = counts()
+out["after"] = counts()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs in the affinity mask")
+def test_one_blas_thread_sets_and_restores_every_loaded_openblas():
+    src = str(Path(kolmoflow.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not out["paths"]:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+    # every loaded OpenBLAS exports one of the known thread-count pairs
+    k = len(out["paths"])
+    assert len(out["before"]) == k
+    assert out["before"] == [2] * k
+    assert out["inside"] == out["nested"] == out["after_nested"] == [1] * k
+    assert out["after"] == [2] * k

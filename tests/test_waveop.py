@@ -437,7 +437,7 @@ class TestGoodUnknown:
         rng = np.random.default_rng(4)
         f0 = smooth_mode_data(grid, rng)
         out = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
-        # masked c-points near y in {0, +-pi, +-pi/2} are interpolated+flagged
+        # masked c-points near y in {0, +-pi, +-pi/2} are flagged
         assert 0.0 < out["flagged_fraction"] < 0.25
 
     def test_a_nan_residual_is_the_residual(self, nan_masked_norm):
@@ -447,6 +447,21 @@ class TestGoodUnknown:
         nan_masked_norm(2)   # the second interior time
         out = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
         assert np.isnan(out["residual"])
+
+    def test_only_the_g1_fit_fills_masked_gaps(self, monkeypatch):
+        # the residual reads no masked c-point, so it needs no interpolation
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+        grid = build_grid(128, p)
+        f0 = smooth_mode_data(grid, np.random.default_rng(4))
+        want = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
+
+        def refuse(vals, mask, y):
+            raise RuntimeError("fill_masked called")
+
+        monkeypatch.setattr(waveop, "fill_masked", refuse)
+        assert good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128) == want
+        with pytest.raises(RuntimeError, match="fill_masked called"):
+            good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128, fit_t_end=0.01)
 
 
 def test_fill_masked_smooth_gap():

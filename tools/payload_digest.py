@@ -6,7 +6,9 @@
 Each run is one CLI subcommand on a small fixed configuration, the one
 tests/test_cli.py uses where it has one, with seed 0. A run is named after
 its subcommand, with a suffix where one subcommand has several runs: `psi`,
-`psi-L` and `psi-Q1L` cover the three operator selectors,
+`psi-L` and `psi-Q1L` cover the three operator selectors, `psi-Q1L-1024`
+restricts ModeL to n != 0 at a size where a dense detour would cost
+16 MiB per copy,
 `resolvent-sweep-L` and `resolvent-sweep-Lu` the two nonlocal sweep kinds
 (`Llambda` and `Lu-form`, beta = 2) next to the `Nlambda` run, and
 `dns-eps` and `threshold-eps` step a nonzero perturbation where `dns` and
@@ -19,6 +21,9 @@ criterion of `acceptance.ALL_CRITERIA`: its verdict, its `details` record,
 and its `bounds`, the (name, op, bound) triple of every sub-check in
 `details["checks"]`, so a changed comparison or bound shows on its own line.
 That takes a few minutes.
+
+`cli.main` and every criterion run in `spectral.one_blas_thread()`, so the
+output does not depend on `OPENBLAS_NUM_THREADS`.
 
 The script imports kolmoflow from the `src/` directory of the checkout it
 sits in, so a copy of it in another checkout digests that checkout:
@@ -50,6 +55,8 @@ RUNS = {
                      "operator = L\n"),
     "psi-Q1L": ("psi", "nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 0\nk_f = 1\nn = 128\n"
                        "operator = Q1L\n"),
+    "psi-Q1L-1024": ("psi", "nu = 0.01\ngamma = 0.4\nk1 = 1\nk3 = 0\nk_f = 1\nn = 1024\n"
+                            "operator = Q1L\nscan_count = 16\n"),
     "resolvent-sweep": ("resolvent-sweep",
                         "kind = Nlambda\nnu = 0.01\nalpha = 10, 100\nlambda = 0, 0.75\n"),
     "resolvent-sweep-L": ("resolvent-sweep",
