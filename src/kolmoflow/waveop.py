@@ -14,9 +14,11 @@ in |y - y_c|; grows like e^{a|y-y_c|}, so keep a below ~200 for float64.
 
 The y_c-space formulas mix a principal-value integral (handled by analytic
 subtraction of the 1/(u-c) pole: its p.v. integral over [0, pi] vanishes
-exactly) with regular quadratures on the input grid; outputs are masked
-within `margin` of the endpoints, where the endpoint coefficients J_j
-degenerate.
+exactly) with regular quadratures on the input grid. Each operator owns its
+valid sets, the read-only masks `valid_D1` and `valid_D2` of the output
+points at least `margin` from the endpoints, where the endpoint coefficients
+J_j degenerate; `apply_D1` and `apply_D2` return the values only, zero off
+those sets.
 
 A build solves the profiles of its c-nodes through `spectral.process_map`:
 in the building process and in forked children, one process per CPU in
@@ -229,8 +231,10 @@ class WaveOperator:
     """D1/D2 realized on a uniform full-period grid y_j = -pi + 2 pi j / N.
 
     Outputs are defined on the interior c-grid (valid y_c nodes at least
-    `margin` from {0, pi}); everything else is masked. The per-c profile
-    table is immutable after construction and safe to read concurrently.
+    `margin` from {0, pi}): D1 at +-y_c, the read-only mask `valid_D1`, and
+    D2 at those points shifted by pi/2, `valid_D2`. The masks and the per-c
+    profile table are immutable after construction and safe to read
+    concurrently.
     """
 
     def __init__(self, alpha: float, n: int, margin: float = ENDPOINT_MARGIN,
@@ -248,6 +252,12 @@ class WaveOperator:
         ok = (yc >= margin) & (yc <= np.pi - margin)
         self.valid_half_idx = interior[ok]          # indices into y_half
         self.y_c = self.y_half[self.valid_half_idx]
+        valid = np.zeros(n, dtype=bool)
+        valid[m + self.valid_half_idx] = valid[m - self.valid_half_idx] = True
+        self.valid_D1 = valid
+        self.valid_D2 = np.roll(valid, n // 4)
+        self.valid_D1.setflags(write=False)
+        self.valid_D2.setflags(write=False)
         if _defer:
             return
         import scipy.integrate  # noqa: F401  (forked children inherit it)
@@ -347,11 +357,11 @@ class WaveOperator:
         t *= self._trap_w
         return np.sum(r, axis=1) + np.sum(t, axis=1), g1
 
-    def apply_D1(self, omega_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """D1(omega) on the full-period grid; returns (values, valid_mask).
+    def apply_D1(self, omega_full: np.ndarray) -> np.ndarray:
+        """D1(omega) on the full-period grid, zero off `valid_D1`.
 
         The odd input part maps to an odd output, the even part to an even
-        output; values within `margin` of y in {0, +-pi} are masked.
+        output; values within `margin` of y in {0, +-pi} are not computed.
         """
         omega_full = np.asarray(omega_full, dtype=complex)
         if omega_full.shape != (self.n,):
@@ -371,18 +381,15 @@ class WaveOperator:
                    + cf["j1"] * g1_e[:, 0] - cf["j0"] * g1_e[:, -1]) / denom_e
         m = self.n // 2
         out = np.zeros(self.n, dtype=complex)
-        mask = np.zeros(self.n, dtype=bool)
         out[m + k] = d1_odd + d1_even        # +y_c
         out[m - k] = -d1_odd + d1_even       # -y_c
-        mask[m + k] = mask[m - k] = True
-        return out, mask
+        return out
 
-    def apply_D2(self, omega_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """D2 = shift(-pi/2) o D1 o shift(pi/2); exact index rolls."""
+    def apply_D2(self, omega_full: np.ndarray) -> np.ndarray:
+        """D2 = shift(-pi/2) o D1 o shift(pi/2), zero off `valid_D2`; exact
+        index rolls."""
         q = self.n // 4
-        shifted = np.roll(np.asarray(omega_full, dtype=complex), -q)
-        vals, mask = self.apply_D1(shifted)
-        return np.roll(vals, q), np.roll(mask, q)
+        return np.roll(self.apply_D1(np.roll(np.asarray(omega_full, dtype=complex), -q)), q)
 
 
 _OPERATOR_CACHE: dict[tuple, WaveOperator] = {}
@@ -441,17 +448,18 @@ def spectral_second_derivative(omega: np.ndarray) -> np.ndarray:
 def fd_derivative(vals: np.ndarray, mask: np.ndarray, h: float, order: int = 1
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Centered 4th-order-accurate local derivative of a masked periodic
-    grid function; output masked wherever the 5-point stencil touches a
-    masked node (local stencils keep interpolation error from spreading)."""
-    n = len(vals)
+    grid function, or of each row of a stack, along the last axis; output
+    zero and masked wherever the 5-point stencil touches a masked node
+    (local stencils keep interpolation error from spreading)."""
+    n = vals.shape[-1]
     idx = np.arange(n)
     st = [(idx + s) % n for s in (-2, -1, 0, 1, 2)]
     ok = mask[st[0]] & mask[st[1]] & mask[st[2]] & mask[st[3]] & mask[st[4]]
+    v = [vals[..., s] for s in st]
     if order == 1:
-        out = (vals[st[0]] - 8 * vals[st[1]] + 8 * vals[st[3]] - vals[st[4]]) / (12 * h)
+        out = (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
     elif order == 2:
-        out = (-vals[st[0]] + 16 * vals[st[1]] - 30 * vals[st[2]]
-               + 16 * vals[st[3]] - vals[st[4]]) / (12 * h**2)
+        out = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h**2)
     else:
         raise ConfigurationError("order must be 1 or 2")
     out = np.where(ok, out, 0.0)
@@ -509,14 +517,12 @@ def intertwining_residual(omegas: dict, alpha: float, ns: list[int]) -> dict:
             w = np.asarray(fn(y), dtype=complex)
             kw = helmholtz_inverse_full(w, alpha)
             nw = _grid_norm(w, h)
-            lhs1, m1 = op.apply_D1(np.cos(y) * (w + kw))
-            d1, m2 = op.apply_D1(w)
-            mask = m1 & m2
-            r_cos = _masked_norm(lhs1 - np.cos(y) * d1 + kw, mask, h) / nw
-            lhs2, m3 = op.apply_D2(np.sin(y) * (w + kw))
-            d2, m4 = op.apply_D2(w)
-            mask2 = m3 & m4
-            r_sin = _masked_norm(lhs2 - np.sin(y) * d2 + kw, mask2, h) / nw
+            lhs1 = op.apply_D1(np.cos(y) * (w + kw))
+            d1 = op.apply_D1(w)
+            r_cos = _masked_norm(lhs1 - np.cos(y) * d1 + kw, op.valid_D1, h) / nw
+            lhs2 = op.apply_D2(np.sin(y) * (w + kw))
+            d2 = op.apply_D2(w)
+            r_sin = _masked_norm(lhs2 - np.sin(y) * d2 + kw, op.valid_D2, h) / nw
             rows.append({"omega": label, "n": n, "alpha": alpha,
                          "r_cos": r_cos, "r_sin": r_sin})
     verdicts = {}
@@ -558,13 +564,15 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
     Both the probe band and the grid scale with alpha: the extremizers of
     the alpha-uniform bounds live at the critical-layer scale 1/alpha, so a
     fixed band-limited ensemble systematically undersamples them at large
-    alpha and the grid must keep that scale resolved.
+    alpha and the grid must keep that scale resolved: it has
+    max(n, 32 alpha) points, rounded up to a multiple of 4.
     """
     if ensemble < 20:
         raise ConfigurationError("bound sweep wants an ensemble of >= 20 profiles")
     per_alpha: dict[float, dict[str, float]] = {}
     for alpha in alphas:
         n_a = int(max(n, 32 * alpha))
+        n_a += -n_a % 4   # the wave-operator grid is a multiple of 4
         k_max = int(max(8, alpha))
         op = get_wave_operator(alpha, n_a)
         y, h = op.y_full, op.h
@@ -577,28 +585,24 @@ def bound_sweep(alphas: list[float], n: int = 256, ensemble: int = 20,
             nw = _grid_norm(w, h)
             ndw = _grid_norm(dw, h)
 
-            d1, m1 = op.apply_D1(w)
-            sin_d1 = np.sin(y) * d1
+            sin_d1 = np.sin(y) * op.apply_D1(w)
             fits["D1.1"] = np.maximum(fits["D1.1"],
-                                      alpha * _masked_norm(sin_d1, m1, h) / nw)
-            dsin_d1, mok = fd_derivative(sin_d1, m1, h)
+                                      alpha * _masked_norm(sin_d1, op.valid_D1, h) / nw)
+            dsin_d1, ok = fd_derivative(sin_d1, op.valid_D1, h)
             fits["D1.2"] = np.maximum(fits["D1.2"],
-                                      _masked_norm(dsin_d1, mok, h) / (nw + ndw / alpha))
-            d1_d2w, m2 = op.apply_D1(d2w)
-            comm = np.sin(y) * d1_d2w
-            d2_sin_d1, mok2 = fd_derivative(sin_d1, m1, h, order=2)
-            mc = m2 & mok2
+                                      _masked_norm(dsin_d1, ok, h) / (nw + ndw / alpha))
+            comm = np.sin(y) * op.apply_D1(d2w)
+            d2_sin_d1, ok = fd_derivative(sin_d1, op.valid_D1, h, order=2)
             fits["estD1"] = np.maximum(fits["estD1"],
-                                       _masked_norm(comm - d2_sin_d1, mc, h)
+                                       _masked_norm(comm - d2_sin_d1, ok, h)
                                        / (alpha * nw + ndw))
 
-            d2v, m3 = op.apply_D2(w)
-            cos_d2 = np.cos(y) * d2v
+            cos_d2 = np.cos(y) * op.apply_D2(w)
             fits["D2.1"] = np.maximum(fits["D2.1"],
-                                      alpha * _masked_norm(cos_d2, m3, h) / nw)
-            dcos_d2, mok3 = fd_derivative(cos_d2, m3, h)
+                                      alpha * _masked_norm(cos_d2, op.valid_D2, h) / nw)
+            dcos_d2, ok = fd_derivative(cos_d2, op.valid_D2, h)
             fits["D6"] = np.maximum(fits["D6"],
-                                    _masked_norm(dcos_d2, mok3, h) / (nw + ndw / alpha))
+                                    _masked_norm(dcos_d2, ok, h) / (nw + ndw / alpha))
         per_alpha[alpha] = fits
     stability = {}
     for key in ("D1.1", "D1.2", "estD1", "D2.1", "D6"):
@@ -614,11 +618,13 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
 
     g1 = g + (k3/(k1 k_f)) cos y D2(f) should satisfy
     dg1/dt + (nu kappa^2 + ModeH) g1 = (nu k_f k3/k1) [cos y D2, d^2] f.
-    The residual is evaluated with 4th-order stencils in t and y on the
-    valid region, whose complement is reported as `flagged_fraction`, and
-    relative to ||f|| + ||g||; nothing it reads lies on a masked c-point.
-    A separate longer run fits the decay of ||g1|| over the whole grid, so
-    it cubic-interpolates D2(f) across the masked c-points, and compares
+    The residual is evaluated with 4th-order stencils in t and y, relative
+    to ||f|| + ||g||, where its y-stencil stays inside the stencil-valid part
+    of `valid_D2`; `flagged_fraction` is the complement of that part, and
+    nothing the residual reads lies on a masked c-point. The time stencil
+    needs at least 5 stored states, and fewer raise ConfigurationError. A
+    separate longer run fits the decay of ||g1|| over the whole grid, so it
+    cubic-interpolates D2(f) across the masked c-points, and compares
     pure-exponential vs (1+at)-prefactor models.
 
     k3 = 0 leaves no correction to check and k1 = 0 no coupling k3/(k1 k_f),
@@ -634,55 +640,48 @@ def good_unknown_check(params, f0, g0, t_end: float, dt: float, n: int,
     op = get_wave_operator(params.alpha, n)
     h, y = op.h, op.y_full
     traj = evolve_coupled(params, f0, g0, t_end, dt, grid=grid, store_states=True)
+    if len(traj.times) < 5:
+        raise ConfigurationError(
+            f"the good-unknown time stencil needs >= 5 stored states, got {len(traj.times)}")
     m = n // 2
 
     def to_wave_grid(coeffs):
-        return np.roll(grid.to_grid(coeffs), -m)
+        return np.roll(grid.to_grid(coeffs), -m, axis=-1)
 
     scale = 1j * params.k1 * params.gamma / (params.k_f**2 * params.nu)
     kappa2 = params.k1**2 + params.k3**2
     couple = params.k3 / (params.k1 * params.k_f)
     rhs_scale = params.nu * params.k_f * params.k3 / params.k1
 
-    g1s, masks, rhss, fnorms = [], [], [], []
-    for f_c, g_c in zip(traj.f_states, traj.g_states):
-        f_full = to_wave_grid(f_c)
-        g_full = to_wave_grid(g_c)
-        d2f, mask = op.apply_D2(f_full)
-        fnorms.append(_grid_norm(f_full, h) + _grid_norm(g_full, h))
-        g1s.append(g_full + couple * np.cos(y) * d2f)
-        # commutator right-hand side
-        fpp_full = to_wave_grid(-(grid.wavenumbers**2) * f_c)
-        d2_fpp, mask2 = op.apply_D2(fpp_full)
-        cos_d2f = np.cos(y) * d2f
-        lap_cos_d2f, mask3 = fd_derivative(cos_d2f, mask, h, order=2)
-        rhs = rhs_scale * (np.cos(y) * d2_fpp - lap_cos_d2f)
-        masks.append(mask & mask2 & mask3)
-        rhss.append(rhs)
-    g1s = np.array(g1s)
-    rhss = np.array(rhss)
-    res_max = 0.0
-    interior = range(2, len(traj.times) - 2)
-    for i in interior:
-        mask = masks[i]
-        dg1 = (g1s[i - 2] - 8 * g1s[i - 1] + 8 * g1s[i + 1] - g1s[i + 2]) / (12 * dt)
-        g1 = g1s[i]
-        lap_g1, mok = fd_derivative(g1, mask, h, order=2)
-        hg1 = -params.nu * params.k_f**2 * lap_g1 + scale * np.sin(y) * g1
-        res = dg1 + params.nu * kappa2 * g1 + hg1 - rhss[i]
-        mm = mask & mok
-        res_max = np.maximum(res_max, _masked_norm(res, mm, h) / fnorms[i])
-    out = {"residual": float(res_max),
-           "flagged_fraction": float(1.0 - np.mean([m.mean() for m in masks]))}
+    # one row per stored state; D2 goes row by row, since a stacked apply
+    # would hold (states x nodes x n) temporaries
+    f_full = to_wave_grid(traj.f_states)
+    g_full = to_wave_grid(traj.g_states)
+    d2f = np.array([op.apply_D2(f) for f in f_full])
+    g1s = g_full + couple * np.cos(y) * d2f
+    # the commutator right-hand side and the residual are taken at the
+    # interior times, where the 5-point time stencil fits
+    inner = slice(2, -2)
+    d2_fpp = np.array([op.apply_D2(fpp) for fpp in
+                       to_wave_grid(-(grid.wavenumbers**2) * traj.f_states[inner])])
+    lap_cos_d2f, mask = fd_derivative(np.cos(y) * d2f[inner], op.valid_D2, h, order=2)
+    rhs = rhs_scale * (np.cos(y) * d2_fpp - lap_cos_d2f)
+    g1 = g1s[inner]
+    dg1 = (g1s[:-4] - 8 * g1s[1:-3] + 8 * g1s[3:-1] - g1s[4:]) / (12 * dt)
+    lap_g1, mok = fd_derivative(g1, mask, h, order=2)
+    hg1 = -params.nu * params.k_f**2 * lap_g1 + scale * np.sin(y) * g1
+    res = dg1 + params.nu * kappa2 * g1 + hg1 - rhs
+    res_max = np.max([_masked_norm(r, mok, h) / (_grid_norm(f, h) + _grid_norm(g, h))
+                      for r, f, g in zip(res, f_full[inner], g_full[inner])])
+    out = {"residual": float(res_max), "flagged_fraction": float(1.0 - mask.mean())}
     if fit_t_end is not None:
         fit_dt = max(dt, fit_t_end / 400.0)
         traj2 = evolve_coupled(params, f0, g0, fit_t_end, fit_dt, grid=grid,
                                store_states=True)
-        norms_g1 = []
-        for f_c, g_c in zip(traj2.f_states, traj2.g_states):
-            d2f, mask = op.apply_D2(to_wave_grid(f_c))
-            g1 = to_wave_grid(g_c) + couple * np.cos(y) * fill_masked(d2f, mask, y)
-            norms_g1.append(_grid_norm(g1, h))
+        norms_g1 = [_grid_norm(g + couple * np.cos(y)
+                               * fill_masked(op.apply_D2(f), op.valid_D2, y), h)
+                    for f, g in zip(to_wave_grid(traj2.f_states),
+                                    to_wave_grid(traj2.g_states))]
         synth = Trajectory(times=traj2.times, params=params, grid=grid,
                            norm_g=np.array(norms_g1))
         fit_pure = fit_decay_rate(synth, "g")

@@ -142,8 +142,8 @@ class TestCoefficients:
 class TestWaveOperatorBasics:
     def test_zero_maps_to_zero(self):
         op = get_wave_operator(2.0, 64)
-        out, mask = op.apply_D2(np.zeros(64, dtype=complex))
-        assert np.allclose(out[mask], 0.0)
+        out = op.apply_D2(np.zeros(64, dtype=complex))
+        assert np.allclose(out[op.valid_D2], 0.0)
 
     def test_linearity(self):
         op = get_wave_operator(2.0, 64)
@@ -152,10 +152,9 @@ class TestWaveOperatorBasics:
             w1 = random_smooth_profile(64, rng)
             w2 = random_smooth_profile(64, rng)
             a, b = 1.3 - 0.7j, -0.4 + 2.1j
-            lhs, m1 = op.apply_D1(a * w1 + b * w2)
-            r1, _ = op.apply_D1(w1)
-            r2, _ = op.apply_D1(w2)
-            rhs = a * r1 + b * r2
+            lhs = op.apply_D1(a * w1 + b * w2)
+            rhs = a * op.apply_D1(w1) + b * op.apply_D1(w2)
+            m1 = op.valid_D1
             scale = np.max(np.abs(rhs[m1]))
             assert np.max(np.abs((lhs - rhs)[m1])) <= 1e-10 * scale
 
@@ -164,8 +163,9 @@ class TestWaveOperatorBasics:
         y = op.y_full
         odd = np.sin(3 * y).astype(complex)
         even = np.cos(2 * y).astype(complex)
-        out_o, m = op.apply_D1(odd)
-        out_e, _ = op.apply_D1(even)
+        out_o = op.apply_D1(odd)
+        out_e = op.apply_D1(even)
+        m = op.valid_D1
         n = op.n
         idx = np.arange(n)
         mirror = (-idx) % n  # index of -y
@@ -175,7 +175,7 @@ class TestWaveOperatorBasics:
 
     def test_mask_respects_margin(self):
         op = WaveOperator(2.0, 128, margin=0.1)
-        _, mask = op.apply_D1(np.sin(op.y_full).astype(complex))
+        mask = op.valid_D1
         y = op.y_full
         dist = np.minimum(np.abs(y), np.pi - np.abs(y))
         assert not mask[dist < 0.1].any()
@@ -184,6 +184,48 @@ class TestWaveOperatorBasics:
     def test_grid_divisibility(self):
         with pytest.raises(ConfigurationError):
             WaveOperator(2.0, 66)
+
+
+class TestValidSets:
+    """The operator owns its valid sets: D1 at +-y_c, D2 at those points
+    shifted by pi/2, read-only, and both applies are zero off them."""
+
+    @staticmethod
+    def _assert_valid_sets(op):
+        m, k = op.n // 2, op.valid_half_idx
+        want = np.zeros(op.n, dtype=bool)
+        want[m + k] = want[m - k] = True
+        assert np.array_equal(op.valid_D1, want)
+        assert np.array_equal(op.valid_D2, np.roll(want, op.n // 4))
+        for valid in (op.valid_D1, op.valid_D2):
+            assert not valid.flags.writeable
+            with pytest.raises(ValueError):
+                valid[0] = True
+
+    def test_pattern_and_read_only(self):
+        self._assert_valid_sets(get_wave_operator(2.0, 64))
+        self._assert_valid_sets(WaveOperator(2.0, 128, margin=0.1, _defer=True))
+
+    def test_cut_level_equals_cold_build(self, monkeypatch):
+        monkeypatch.setattr(waveop, "_OPERATOR_CACHE", {})
+        get_wave_operator(2.0, 128)
+        cut = get_wave_operator(2.0, 64)
+        cold = WaveOperator(2.0, 64)
+        self._assert_valid_sets(cut)
+        assert np.array_equal(cut.valid_D1, cold.valid_D1)
+        assert np.array_equal(cut.valid_D2, cold.valid_D2)
+
+    @pytest.mark.parametrize("kind", ["zero", "random", "nan"])
+    def test_apply_is_zero_off_the_valid_set(self, kind):
+        op = get_wave_operator(2.0, 64)
+        w = {"zero": np.zeros(64, dtype=complex),
+             "random": random_smooth_profile(64, np.random.default_rng(2)),
+             "nan": np.full(64, np.nan, dtype=complex)}[kind]
+        for apply, valid in ((op.apply_D1, op.valid_D1), (op.apply_D2, op.valid_D2)):
+            out = apply(w)
+            assert np.all(out[~valid] == 0.0)
+            if kind == "nan":
+                assert np.isnan(out[valid]).all()
 
 
 # -- per-node reference for apply_D1 ------------------------------------------
@@ -252,6 +294,74 @@ def loop_apply_D2(op, omega_full):
     return np.roll(vals, q), np.roll(mask, q)
 
 
+def _loop_fd(vals, mask, h, order):
+    """The 5-point stencil of one grid function, masked as fd_derivative masks."""
+    n = len(vals)
+    st = [(np.arange(n) + s) % n for s in (-2, -1, 0, 1, 2)]
+    ok = mask[st[0]] & mask[st[1]] & mask[st[2]] & mask[st[3]] & mask[st[4]]
+    if order == 1:
+        out = (vals[st[0]] - 8 * vals[st[1]] + 8 * vals[st[3]] - vals[st[4]]) / (12 * h)
+    else:
+        out = (-vals[st[0]] + 16 * vals[st[1]] - 30 * vals[st[2]]
+               + 16 * vals[st[3]] - vals[st[4]]) / (12 * h**2)
+    return np.where(ok, out, 0.0), ok
+
+
+def loop_good_unknown(params, f0, g0, t_end, dt, n, fit_t_end=None):
+    """good_unknown_check one stored state at a time, each state carrying
+    the masks of its own D2 calls and stencils."""
+    from kolmoflow.evolution import Trajectory, evolve_coupled, fit_decay_rate
+
+    grid = build_grid(n, params)
+    op = get_wave_operator(params.alpha, n)
+    h, y = op.h, op.y_full
+    traj = evolve_coupled(params, f0, g0, t_end, dt, grid=grid, store_states=True)
+    m = n // 2
+
+    def to_wave_grid(coeffs):
+        return np.roll(grid.to_grid(coeffs), -m)
+
+    scale = 1j * params.k1 * params.gamma / (params.k_f**2 * params.nu)
+    kappa2 = params.k1**2 + params.k3**2
+    couple = params.k3 / (params.k1 * params.k_f)
+    rhs_scale = params.nu * params.k_f * params.k3 / params.k1
+    g1s, masks, rhss, fnorms = [], [], [], []
+    for f_c, g_c in zip(traj.f_states, traj.g_states):
+        f_full = to_wave_grid(f_c)
+        g_full = to_wave_grid(g_c)
+        d2f, mask = loop_apply_D2(op, f_full)
+        fnorms.append(waveop._grid_norm(f_full, h) + waveop._grid_norm(g_full, h))
+        g1s.append(g_full + couple * np.cos(y) * d2f)
+        d2_fpp, mask2 = loop_apply_D2(op, to_wave_grid(-(grid.wavenumbers**2) * f_c))
+        lap_cos_d2f, mask3 = _loop_fd(np.cos(y) * d2f, mask, h, order=2)
+        rhss.append(rhs_scale * (np.cos(y) * d2_fpp - lap_cos_d2f))
+        masks.append(mask & mask2 & mask3)
+    res_max = 0.0
+    for i in range(2, len(traj.times) - 2):
+        dg1 = (g1s[i - 2] - 8 * g1s[i - 1] + 8 * g1s[i + 1] - g1s[i + 2]) / (12 * dt)
+        lap_g1, mok = _loop_fd(g1s[i], masks[i], h, order=2)
+        hg1 = -params.nu * params.k_f**2 * lap_g1 + scale * np.sin(y) * g1s[i]
+        res = dg1 + params.nu * kappa2 * g1s[i] + hg1 - rhss[i]
+        res_max = np.maximum(res_max,
+                             waveop._masked_norm(res, masks[i] & mok, h) / fnorms[i])
+    out = {"residual": float(res_max),
+           "flagged_fraction": float(1.0 - np.mean([mk.mean() for mk in masks]))}
+    if fit_t_end is not None:
+        fit_dt = max(dt, fit_t_end / 400.0)
+        traj2 = evolve_coupled(params, f0, g0, fit_t_end, fit_dt, grid=grid,
+                               store_states=True)
+        norms_g1 = []
+        for f_c, g_c in zip(traj2.f_states, traj2.g_states):
+            d2f, mask = loop_apply_D2(op, to_wave_grid(f_c))
+            g1 = to_wave_grid(g_c) + couple * np.cos(y) * fill_masked(d2f, mask, y)
+            norms_g1.append(waveop._grid_norm(g1, h))
+        synth = Trajectory(times=traj2.times, params=params, grid=grid,
+                           norm_g=np.array(norms_g1))
+        out["g1_fit_pure_residual"] = fit_decay_rate(synth, "g").residual
+        out["g1_fit_prefactor_residual"] = fit_decay_rate(synth, "g", prefactor=True).residual
+    return out
+
+
 class TestBatchedApply:
     """The batched apply_D1/apply_D2 reproduce the per-node loop bit for bit."""
 
@@ -260,11 +370,11 @@ class TestBatchedApply:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             w = random_smooth_profile(op.n, rng)
-            for new, old in ((op.apply_D1, loop_apply_D1), (op.apply_D2, loop_apply_D2)):
-                vals, mask = new(w)
+            for new, old, valid in ((op.apply_D1, loop_apply_D1, op.valid_D1),
+                                    (op.apply_D2, loop_apply_D2, op.valid_D2)):
                 ref_vals, ref_mask = old(op, w)
-                assert np.array_equal(mask, ref_mask)
-                assert np.array_equal(vals, ref_vals)
+                assert np.array_equal(valid, ref_mask)
+                assert np.array_equal(new(w), ref_vals)
 
     @pytest.mark.parametrize("alpha, n, margin", [(2.0, 64, waveop.ENDPOINT_MARGIN),
                                                   (16.0, 64, waveop.ENDPOINT_MARGIN),
@@ -359,9 +469,9 @@ class TestIntertwining:
         y = op.y_full
         w = np.sin(2 * y).astype(complex)
         kw = helmholtz_inverse_full(w, 2.0)
-        lhs, m1 = op.apply_D1(np.cos(y) * (w + kw))
-        d1, m2 = op.apply_D1(w)
-        mask = m1 & m2
+        lhs = op.apply_D1(np.cos(y) * (w + kw))
+        d1 = op.apply_D1(w)
+        mask = op.valid_D1
         nrm = np.linalg.norm(w[mask])
         r_minus = np.linalg.norm((lhs - np.cos(y) * d1 + kw)[mask]) / nrm
         r_plus = np.linalg.norm((lhs - np.cos(y) * d1 - kw)[mask]) / nrm
@@ -399,6 +509,13 @@ class TestBoundSweep:
     def test_ensemble_validation(self):
         with pytest.raises(ConfigurationError):
             bound_sweep([2.0], ensemble=5)
+
+    def test_derived_grid_rounds_up_to_a_multiple_of_4(self, monkeypatch):
+        # 32 * 2.1 = 67.2 would give a 67-point grid, which no operator has
+        monkeypatch.setattr(waveop, "_OPERATOR_CACHE", {})
+        rep = bound_sweep([2.1], n=66, ensemble=20)
+        assert list(waveop._OPERATOR_CACHE) == [(2.1, 68)]
+        assert all(np.isfinite(v) and v > 0 for v in rep["per_alpha"][2.1].values())
 
     def test_a_nan_ratio_fails_the_sweep(self, nan_masked_norm):
         # the 7th call is the second profile's D1.2 ratio at alpha = 2
@@ -447,6 +564,31 @@ class TestGoodUnknown:
         nan_masked_norm(2)   # the second interior time
         out = good_unknown_check(p, f0, f0, t_end=0.004, dt=2e-4, n=128)
         assert np.isnan(out["residual"])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_per_state_loop(self, n):
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+        rng = np.random.default_rng(n)
+        grid = build_grid(n, p)
+        f0, g0 = smooth_mode_data(grid, rng), smooth_mode_data(grid, rng)
+        kw = dict(t_end=0.5, dt=0.05, n=n, fit_t_end=6.0)
+        got = good_unknown_check(p, f0, g0, **kw)
+        want = loop_good_unknown(p, f0, g0, **kw)
+        assert got.keys() == want.keys() == {"residual", "flagged_fraction",
+                                             "g1_fit_pure_residual",
+                                             "g1_fit_prefactor_residual"}
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_needs_five_stored_states(self, steps):
+        # 3 or 4 states leave no interior time for the 5-point time stencil
+        p = ModeParams(nu=0.01, gamma=0.4, k_f=0.5, k1=1, k3=1)
+        f0 = smooth_mode_data(build_grid(64, p), np.random.default_rng(4))
+        with pytest.raises(ConfigurationError, match=">= 5 stored states"):
+            good_unknown_check(p, f0, f0, t_end=steps * 2e-4, dt=2e-4, n=64)
+        out = good_unknown_check(p, f0, f0, t_end=4 * 2e-4, dt=2e-4, n=64)
+        assert out["residual"] > 0.0
 
     def test_only_the_g1_fit_fills_masked_gaps(self, monkeypatch):
         # the residual reads no masked c-point, so it needs no interpolation

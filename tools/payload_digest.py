@@ -12,7 +12,9 @@ restricts ModeL to n != 0 at a size where a dense detour would cost
 `resolvent-sweep-L` and `resolvent-sweep-Lu` the two nonlocal sweep kinds
 (`Llambda` and `Lu-form`, beta = 2) next to the `Nlambda` run, and
 `dns-eps` and `threshold-eps` step a nonzero perturbation where `dns` and
-`threshold` start from the base flow itself. The script makes
+`threshold` start from the base flow itself, and `waveop-9.1` sweeps the
+bounds at alpha = 9.1, whose grid max(256, 32 alpha) = 291.2 is rounded up
+to 292, the next multiple of 4. The script makes
 the named runs (all of them by default) and prints one `name sha256` line
 per report payload section (canonical JSON, as `cli.payload_bytes` writes
 it) and per CSV body (the table without its envelope line). The envelope is
@@ -69,6 +71,7 @@ RUNS = {
                          "t_end = 12\ndt = 0.1\n"),
     "alpha1": ("alpha1", "nu = 0.01\ngamma = 0.1, 0.4\nn = 64\n"),
     "waveop": ("waveop", "alpha = 2\nlevels = 64, 128\n"),
+    "waveop-9.1": ("waveop", "alpha = 9.1\nlevels = 64\n"),
     "dns": ("dns", "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = 0\nt_end = 1\n"),
     "dns-eps": ("dns", "nu = 0.05\ngamma = 0.05\nk_f = 0.5\nn = 16\nepsilon = 1e-3\n"
                        "t_end = 1\n"),
